@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -60,20 +59,27 @@ class Pass
 /**
  * Shared rewrite engine for instruction-dropping passes.
  *
- * Rebuilds @p program keeping instruction order: instructions with
- * @p drop set are removed, every operand (srcs, gather placements,
- * delta bindings) is first redirected through @p slot_remap (old dst
- * slot -> replacement dst slot, for merge-style passes), value slots
- * are renumbered compactly in definition order, and deps are rebuilt
- * from the surviving producers.
+ * Consumes @p program (call it as `program =
+ * rewriteProgram(std::move(program), ...)`) and rebuilds it keeping
+ * instruction order: instructions with @p drop set are removed and
+ * the survivors are moved, never copied, into an exactly reserved
+ * instruction vector. Every operand (srcs, gather placements, delta
+ * bindings) is first redirected through @p slot_remap, a dense table
+ * indexed by slot (old dst slot -> replacement dst slot, for
+ * merge-style passes; empty means the identity). Value slots are then renumbered compactly in definition
+ * order, and deps are rebuilt from the surviving producers. All slot
+ * tables are dense vectors bounded by valueSlots, so a rewrite costs
+ * O(instructions + operands + valueSlots).
  *
  * @throws std::logic_error when a surviving instruction (or delta
- *         binding) reads a slot with no surviving producer — the
- *         use-of-undefined-slot detection the pipeline relies on to
- *         reject a broken pass immediately.
+ *         binding) reads a slot with no surviving producer, or any
+ *         slot (src, placement, dst, remap target) lies outside
+ *         valueSlots — the use-of-undefined-slot detection the
+ *         pipeline relies on to reject a broken pass immediately;
+ *         also when @p drop or a non-empty @p slot_remap does not
+ *         match the program's size.
  */
-Program rewriteProgram(
-    const Program &program, const std::vector<bool> &drop,
-    const std::map<std::uint32_t, std::uint32_t> &slot_remap);
+Program rewriteProgram(Program program, const std::vector<bool> &drop,
+                       const std::vector<std::uint32_t> &slot_remap);
 
 } // namespace orianna::comp

@@ -1,37 +1,14 @@
 #include "compiler/passes/passes.hpp"
 
+#include <numeric>
+#include <unordered_map>
+#include <utility>
+
+#include "compiler/passes/instruction_key.hpp"
+
 namespace orianna::comp::passes {
 
 namespace {
-
-/** Byte-exact key of a LOADC payload. */
-std::string
-constantKey(const Instruction &inst)
-{
-    std::string key;
-    auto append = [&key](const void *data, std::size_t n) {
-        key.append(static_cast<const char *>(data), n);
-    };
-    const std::uint32_t rows =
-        static_cast<std::uint32_t>(inst.constMat.rows());
-    const std::uint32_t cols =
-        static_cast<std::uint32_t>(inst.constMat.cols());
-    append(&rows, sizeof(rows));
-    append(&cols, sizeof(cols));
-    for (std::size_t i = 0; i < inst.constMat.rows(); ++i)
-        for (std::size_t j = 0; j < inst.constMat.cols(); ++j) {
-            const double v = inst.constMat(i, j);
-            append(&v, sizeof(v));
-        }
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(inst.constVec.size());
-    append(&n, sizeof(n));
-    for (std::size_t i = 0; i < inst.constVec.size(); ++i) {
-        const double v = inst.constVec[i];
-        append(&v, sizeof(v));
-    }
-    return key;
-}
 
 class ConstantDedupPass final : public Pass
 {
@@ -51,22 +28,31 @@ class ConstantDedupPass final : public Pass
         const std::size_t n = instrs.size();
 
         std::vector<bool> drop(n, false);
-        std::map<std::uint32_t, std::uint32_t> slot_remap;
-        std::map<std::string, std::uint32_t> seen;
+        std::vector<std::uint32_t> slot_remap(program.valueSlots);
+        std::iota(slot_remap.begin(), slot_remap.end(), 0u);
+        // Byte-exact payload key (shape, then every value) -> the
+        // first LOADC's slot.
+        std::unordered_map<std::string, std::uint32_t> seen;
+        seen.reserve(n);
+        KeyBuilder kb;
         std::size_t merged = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            if (instrs[i].op != IsaOp::LOADC)
+            const Instruction &inst = instrs[i];
+            if (inst.op != IsaOp::LOADC)
                 continue;
-            auto [it, inserted] =
-                seen.emplace(constantKey(instrs[i]), instrs[i].dst);
+            kb.clear();
+            kb.matrix(inst.constMat);
+            kb.vector(inst.constVec);
+            auto [it, inserted] = seen.try_emplace(kb.key(), inst.dst);
             if (!inserted) {
-                slot_remap[instrs[i].dst] = it->second;
+                slot_remap.at(inst.dst) = it->second;
                 drop[i] = true;
                 ++merged;
             }
         }
         if (merged > 0)
-            program = rewriteProgram(program, drop, slot_remap);
+            program = rewriteProgram(std::move(program), drop,
+                                     slot_remap);
         return merged;
     }
 };

@@ -1,55 +1,14 @@
 #include "compiler/passes/passes.hpp"
 
+#include <numeric>
+#include <unordered_map>
+#include <utility>
+
+#include "compiler/passes/instruction_key.hpp"
+
 namespace orianna::comp::passes {
 
 namespace {
-
-/**
- * Byte-exact structural key of an instruction: opcode, (remap-resolved)
- * operand slots, output shape, and every op-specific payload that
- * feeds the numerics. Two instructions with equal keys compute the
- * same value in an SSA program, because equal operand slots hold equal
- * values by induction.
- */
-class KeyBuilder
-{
-  public:
-    void
-    pod(const void *data, std::size_t n)
-    {
-        key_.append(static_cast<const char *>(data), n);
-    }
-
-    template <typename T>
-    void
-    value(T v)
-    {
-        pod(&v, sizeof(v));
-    }
-
-    void
-    vector(const mat::Vector &v)
-    {
-        value(static_cast<std::uint32_t>(v.size()));
-        for (std::size_t i = 0; i < v.size(); ++i)
-            value(v[i]);
-    }
-
-    void
-    matrix(const mat::Matrix &m)
-    {
-        value(static_cast<std::uint32_t>(m.rows()));
-        value(static_cast<std::uint32_t>(m.cols()));
-        for (std::size_t i = 0; i < m.rows(); ++i)
-            for (std::size_t j = 0; j < m.cols(); ++j)
-                value(m(i, j));
-    }
-
-    std::string take() { return std::move(key_); }
-
-  private:
-    std::string key_;
-};
 
 class CsePass final : public Pass
 {
@@ -70,13 +29,21 @@ class CsePass final : public Pass
         const std::size_t n = instrs.size();
 
         std::vector<bool> drop(n, false);
-        std::map<std::uint32_t, std::uint32_t> slot_remap;
+        std::vector<std::uint32_t> slot_remap(program.valueSlots);
+        std::iota(slot_remap.begin(), slot_remap.end(), 0u);
         auto resolve = [&](std::uint32_t slot) {
-            auto it = slot_remap.find(slot);
-            return it == slot_remap.end() ? slot : it->second;
+            return slot_remap.at(slot);
         };
 
-        std::map<std::string, std::uint32_t> seen;
+        // Byte-exact structural key of an instruction: opcode,
+        // (remap-resolved) operand slots, output shape, and every
+        // op-specific payload that feeds the numerics. Two
+        // instructions with equal keys compute the same value in an
+        // SSA program, because equal operand slots hold equal values
+        // by induction.
+        std::unordered_map<std::string, std::uint32_t> seen;
+        seen.reserve(n);
+        KeyBuilder kb;
         std::size_t merged = 0;
         for (std::size_t i = 0; i < n; ++i) {
             const Instruction &inst = instrs[i];
@@ -85,7 +52,7 @@ class CsePass final : public Pass
 
             // Keys use remap-resolved operands so chains of duplicate
             // instructions collapse transitively in one forward walk.
-            KeyBuilder kb;
+            kb.clear();
             kb.value(static_cast<std::uint8_t>(inst.op));
             kb.value(static_cast<std::uint32_t>(inst.srcs.size()));
             for (std::uint32_t src : inst.srcs)
@@ -117,15 +84,16 @@ class CsePass final : public Pass
                 kb.value(static_cast<std::uint8_t>(p.isRhs));
             }
 
-            auto [it, inserted] = seen.emplace(kb.take(), inst.dst);
+            auto [it, inserted] = seen.try_emplace(kb.key(), inst.dst);
             if (!inserted) {
-                slot_remap[inst.dst] = it->second;
+                slot_remap.at(inst.dst) = it->second;
                 drop[i] = true;
                 ++merged;
             }
         }
         if (merged > 0)
-            program = rewriteProgram(program, drop, slot_remap);
+            program = rewriteProgram(std::move(program), drop,
+                                     slot_remap);
         return merged;
     }
 };

@@ -1,5 +1,7 @@
 #include "compiler/passes/passes.hpp"
 
+#include <utility>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -61,7 +63,7 @@ class DeadCodeEliminationPass final : public Pass
             }
         }
         if (removed > 0)
-            program = rewriteProgram(program, drop, {});
+            program = rewriteProgram(std::move(program), drop, {});
         return removed;
     }
 };

@@ -1,5 +1,7 @@
 #include "compiler/passes/passes.hpp"
 
+#include <utility>
+
 namespace orianna::comp::passes {
 
 namespace {
@@ -88,7 +90,7 @@ class PeepholeFusionPass final : public Pass
             }
         }
         if (fused > 0)
-            program = rewriteProgram(program, drop, {});
+            program = rewriteProgram(std::move(program), drop, {});
         return fused;
     }
 };

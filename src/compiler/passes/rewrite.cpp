@@ -1,67 +1,76 @@
 #include "compiler/pass.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace orianna::comp {
 
 Program
-rewriteProgram(const Program &program, const std::vector<bool> &drop,
-               const std::map<std::uint32_t, std::uint32_t> &slot_remap)
+rewriteProgram(Program program, const std::vector<bool> &drop,
+               const std::vector<std::uint32_t> &slot_remap)
 {
-    const auto &instrs = program.instructions;
+    auto &instrs = program.instructions;
     const std::size_t n = instrs.size();
+    const std::size_t slots = program.valueSlots;
+    if (drop.size() != n)
+        throw std::logic_error(
+            "rewriteProgram: drop mask does not match the program");
+    if (!slot_remap.empty() && slot_remap.size() != slots)
+        throw std::logic_error(
+            "rewriteProgram: remap table does not match valueSlots");
 
-    auto remap = [&](std::uint32_t slot) {
-        auto it = slot_remap.find(slot);
-        return it == slot_remap.end() ? slot : it->second;
-    };
+    constexpr std::uint32_t kUndefined =
+        std::numeric_limits<std::uint32_t>::max();
+    // new_slot[old slot] = compact slot of its surviving producer;
+    // producer[compact slot] = index of the instruction defining it.
+    std::vector<std::uint32_t> new_slot(slots, kUndefined);
+    std::vector<std::uint32_t> producer;
+    producer.reserve(slots);
 
-    Program out;
-    out.name = program.name;
-    out.algorithm = program.algorithm;
-    out.precision = program.precision;
-
-    std::map<std::uint32_t, std::uint32_t> new_slot;
-    std::map<std::uint32_t, std::uint32_t> producer_index;
-    std::uint32_t next_slot = 0;
-
-    auto finalSlot = [&](std::uint32_t old_slot) {
-        auto it = new_slot.find(remap(old_slot));
-        if (it == new_slot.end())
+    auto finalSlot = [&](std::uint32_t slot) {
+        if (slot < slots && !slot_remap.empty())
+            slot = slot_remap[slot];
+        if (slot >= slots || new_slot[slot] == kUndefined)
             throw std::logic_error(
                 "rewriteProgram: use of undefined slot");
-        return it->second;
+        return new_slot[slot];
     };
 
+    // An exact reservation: cached programs keep no slack capacity.
+    std::vector<Instruction> out;
+    out.reserve(n - static_cast<std::size_t>(
+                        std::count(drop.begin(), drop.end(), true)));
     for (std::size_t i = 0; i < n; ++i) {
         if (drop[i])
             continue;
-        Instruction inst = instrs[i];
+        Instruction &inst = instrs[i];
         inst.deps.clear();
-        for (std::uint32_t &src : inst.srcs)
+        for (std::uint32_t &src : inst.srcs) {
             src = finalSlot(src);
+            inst.deps.push_back(producer[src]);
+        }
         for (GatherPlacement &p : inst.placements)
             p.src = finalSlot(p.src);
-        for (std::uint32_t src : inst.srcs) {
-            auto it = producer_index.find(src);
-            if (it != producer_index.end())
-                inst.deps.push_back(it->second);
-        }
         if (inst.op == IsaOp::STORE) {
             inst.dst = inst.srcs[0];
         } else {
-            new_slot[inst.dst] = next_slot;
-            inst.dst = next_slot;
-            producer_index[next_slot] = static_cast<std::uint32_t>(
-                out.instructions.size());
-            ++next_slot;
+            if (inst.dst >= slots)
+                throw std::logic_error(
+                    "rewriteProgram: definition of out-of-range slot");
+            const auto slot = static_cast<std::uint32_t>(producer.size());
+            new_slot[inst.dst] = slot;
+            inst.dst = slot;
+            producer.push_back(static_cast<std::uint32_t>(out.size()));
         }
-        out.instructions.push_back(std::move(inst));
+        out.push_back(std::move(inst));
     }
-    out.valueSlots = next_slot;
-    for (const DeltaBinding &binding : program.deltas)
-        out.deltas.push_back({binding.key, finalSlot(binding.slot)});
-    return out;
+    instrs = std::move(out);
+    program.valueSlots = producer.size();
+    for (DeltaBinding &binding : program.deltas)
+        binding.slot = finalSlot(binding.slot);
+    return program;
 }
 
 } // namespace orianna::comp

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "fg/optimizer.hpp"
-#include "compiler/optimize.hpp"
 #include "fg/ordering.hpp"
 #include "runtime/engine.hpp"
 
@@ -75,8 +74,9 @@ Application::compile(comp::Precision precision)
         // The VANILLA-HLS baseline stays on the historical cleanup
         // pair too: it models a dense flow without ORIANNA's
         // optimizing pipeline.
-        algo.denseProgram = comp::optimizeProgram(
-            comp::compileDenseGraph(algo.graph, algo.values, options));
+        algo.denseProgram =
+            comp::compileDenseGraph(algo.graph, algo.values, options);
+        cleanup.run(algo.denseProgram);
     }
     compiled_ = true;
 }

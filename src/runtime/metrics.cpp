@@ -1,5 +1,6 @@
 #include "runtime/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 
@@ -34,6 +35,7 @@ Histogram::percentile(double p) const
     if (p > 1.0)
         p = 1.0;
     const double target = p * static_cast<double>(total);
+    double estimate = static_cast<double>(bucketLowerUs(kBuckets));
     double cumulative = 0.0;
     for (std::size_t b = 0; b <= kBuckets; ++b) {
         const std::uint64_t in_bucket = bucketCount(b);
@@ -42,17 +44,29 @@ Histogram::percentile(double p) const
         if (cumulative + static_cast<double>(in_bucket) >= target) {
             const double lower =
                 static_cast<double>(bucketLowerUs(b));
-            if (b == kBuckets)
-                return lower; // Overflow: clamp to its lower bound.
-            const double upper =
-                static_cast<double>(bucketLowerUs(b + 1));
-            const double within =
-                (target - cumulative) / static_cast<double>(in_bucket);
-            return lower + (upper - lower) * within;
+            if (b == kBuckets) {
+                estimate = lower; // Overflow: its lower bound.
+            } else {
+                const double upper =
+                    static_cast<double>(bucketLowerUs(b + 1));
+                const double within = (target - cumulative) /
+                                      static_cast<double>(in_bucket);
+                estimate = lower + (upper - lower) * within;
+            }
+            break;
         }
         cumulative += static_cast<double>(in_bucket);
     }
-    return static_cast<double>(bucketLowerUs(kBuckets));
+    // Bucket edges can lie outside the observed range; the exact
+    // extremes bound any honest estimate. (A concurrent observe() may
+    // have bumped the count before its min/max landed: skip the clamp
+    // while the pair is still inconsistent.)
+    const std::uint64_t lo = min_.load(std::memory_order_relaxed);
+    const std::uint64_t hi = max_.load(std::memory_order_relaxed);
+    if (lo <= hi)
+        estimate = std::clamp(estimate, static_cast<double>(lo),
+                              static_cast<double>(hi));
+    return estimate;
 }
 
 MetricsRegistry &
@@ -183,6 +197,8 @@ MetricsRegistry::toJson() const
         out += "    \"" + name + "\": {\"count\": " +
                std::to_string(histogram->count()) +
                ", \"sum_us\": " + std::to_string(histogram->sumUs()) +
+               ", \"min_us\": " + std::to_string(histogram->minUs()) +
+               ", \"max_us\": " + std::to_string(histogram->maxUs()) +
                ", \"p50_us\": ";
         appendNumber(out, histogram->percentile(0.50));
         out += ", \"p99_us\": ";

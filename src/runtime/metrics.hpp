@@ -132,8 +132,11 @@ class Gauge
  * overflow bucket for anything at or beyond 2^kBuckets us (~67 s) —
  * extreme latencies are counted there, never dropped. Count and sum
  * are exact integers so tests can assert them against independently
- * accumulated span durations; percentiles interpolate inside the
- * winning bucket, which is the usual fixed-bucket estimate.
+ * accumulated span durations, and so are the smallest and largest
+ * sample. Percentiles interpolate inside the winning bucket, which is
+ * the usual fixed-bucket estimate, and are clamped to the exact
+ * [min, max] range: a single sample reports itself at every quantile,
+ * never a bucket edge beyond it.
  */
 class Histogram
 {
@@ -144,6 +147,14 @@ class Histogram
     observe(std::uint64_t us)
     {
         if constexpr (kMetricsCompiled) {
+            std::uint64_t cur = min_.load(std::memory_order_relaxed);
+            while (us < cur && !min_.compare_exchange_weak(
+                                   cur, us, std::memory_order_relaxed))
+                ;
+            cur = max_.load(std::memory_order_relaxed);
+            while (us > cur && !max_.compare_exchange_weak(
+                                   cur, us, std::memory_order_relaxed))
+                ;
             buckets_[bucketOf(us)].fetch_add(
                 1, std::memory_order_relaxed);
             count_.fetch_add(1, std::memory_order_relaxed);
@@ -169,6 +180,26 @@ class Histogram
         return 0;
     }
 
+    /** Smallest sample in microseconds (0 before any sample). */
+    std::uint64_t
+    minUs() const
+    {
+        if constexpr (kMetricsCompiled) {
+            const std::uint64_t v = min_.load(std::memory_order_relaxed);
+            return v == kNoMin ? 0 : v;
+        }
+        return 0;
+    }
+
+    /** Largest sample in microseconds (0 before any sample). */
+    std::uint64_t
+    maxUs() const
+    {
+        if constexpr (kMetricsCompiled)
+            return max_.load(std::memory_order_relaxed);
+        return 0;
+    }
+
     std::uint64_t
     bucketCount(std::size_t bucket) const
     {
@@ -183,7 +214,10 @@ class Histogram
         return bucketCount(kBuckets);
     }
 
-    /** Estimated p-quantile (p in [0,1]) in microseconds. */
+    /**
+     * Estimated p-quantile (p in [0,1]) in microseconds, clamped to
+     * [minUs(), maxUs()].
+     */
     double percentile(double p) const;
 
     void
@@ -194,6 +228,8 @@ class Histogram
                 bucket.store(0, std::memory_order_relaxed);
             count_.store(0, std::memory_order_relaxed);
             sum_.store(0, std::memory_order_relaxed);
+            min_.store(kNoMin, std::memory_order_relaxed);
+            max_.store(0, std::memory_order_relaxed);
         }
     }
 
@@ -218,6 +254,9 @@ class Histogram
     std::array<std::atomic<std::uint64_t>, kBuckets + 1> buckets_{};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sum_{0};
+    static constexpr std::uint64_t kNoMin = UINT64_MAX;
+    std::atomic<std::uint64_t> min_{kNoMin};
+    std::atomic<std::uint64_t> max_{0};
 };
 
 /**

@@ -168,12 +168,43 @@ TEST(MetricsHistogram, PercentileInterpolatesWithinBucket)
 {
     SKIP_WITHOUT_METRICS();
     Histogram histogram;
-    for (int i = 0; i < 100; ++i)
+    for (int i = 0; i < 100; ++i) {
         histogram.observe(10); // All in bucket [8, 16).
+        histogram.observe(12);
+    }
+    // The bucket interpolation lands mid-bucket; the exact extremes
+    // bound it, so the bucket edges 8 and 16 are never reported.
     const double p50 = histogram.percentile(0.50);
-    EXPECT_GE(p50, 8.0);
-    EXPECT_LE(p50, 16.0);
-    EXPECT_EQ(histogram.percentile(0.0), 8.0);
+    EXPECT_GE(p50, 10.0);
+    EXPECT_LE(p50, 12.0);
+    EXPECT_EQ(histogram.percentile(0.0), 10.0);
+    EXPECT_EQ(histogram.percentile(1.0), 12.0);
+}
+
+TEST(MetricsHistogram, SingleSampleReportsItselfAtEveryQuantile)
+{
+    SKIP_WITHOUT_METRICS();
+    // One 9100 us compile lands in bucket [8192, 16384); interpolation
+    // alone would report p50 = 12288 and p99 = 16302.
+    Histogram histogram;
+    histogram.observe(9100);
+    EXPECT_EQ(histogram.minUs(), 9100u);
+    EXPECT_EQ(histogram.maxUs(), 9100u);
+    EXPECT_EQ(histogram.percentile(0.50), 9100.0);
+    EXPECT_EQ(histogram.percentile(0.99), 9100.0);
+
+    histogram.observe(3);
+    EXPECT_EQ(histogram.minUs(), 3u);
+    EXPECT_EQ(histogram.maxUs(), 9100u);
+    EXPECT_LE(histogram.percentile(0.99), 9100.0);
+    EXPECT_GE(histogram.percentile(0.0), 3.0);
+
+    histogram.reset();
+    EXPECT_EQ(histogram.minUs(), 0u);
+    EXPECT_EQ(histogram.maxUs(), 0u);
+    histogram.observe(40);
+    EXPECT_EQ(histogram.minUs(), 40u);
+    EXPECT_EQ(histogram.percentile(0.5), 40.0);
 }
 
 // --- Registry snapshots ---------------------------------------------
@@ -234,6 +265,19 @@ TEST(MetricsRegistryJson, ServedSessionsProduceDerivedRates)
                   .at("count")
                   .asNumber(),
               6.0);
+    // Exported percentiles sit inside the exact sample range.
+    for (const auto &[name, histogram] :
+         json->at("histograms").asObject()) {
+        if (histogram->at("count").asNumber() == 0.0)
+            continue;
+        const double lo = histogram->at("min_us").asNumber();
+        const double hi = histogram->at("max_us").asNumber();
+        EXPECT_LE(lo, histogram->at("p50_us").asNumber()) << name;
+        EXPECT_LE(histogram->at("p50_us").asNumber(),
+                  histogram->at("p99_us").asNumber())
+            << name;
+        EXPECT_LE(histogram->at("p99_us").asNumber(), hi) << name;
+    }
     // Every simulated unit kind reports a utilization share in (0,1].
     const auto &utilization =
         json->at("derived").at("utilization").asObject();

@@ -1,12 +1,12 @@
-// Tests for the post-codegen optimization passes: constant
-// deduplication and dead-code elimination.
+// Tests for the post-codegen cleanup passes (constant deduplication
+// and dead-code elimination, the "dedup,dce" pipeline) and the shared
+// rewriteProgram engine under them.
 
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
-#include "compiler/optimize.hpp"
-#include "compiler/pass.hpp"
+#include "compiler/pass_manager.hpp"
 #include "fg/factors.hpp"
 #include "test_fg_common.hpp"
 
@@ -16,11 +16,26 @@ using namespace orianna;
 using orianna::test::randomPose;
 using orianna::test::randomVector;
 using comp::IsaOp;
+using comp::PassStats;
 using comp::Program;
 using fg::FactorGraph;
 using fg::Values;
 using lie::Pose;
 using mat::Vector;
+
+/** Per-pass stats of one cleanup run: [0] dedup, [1] dce. */
+using CleanupStats = std::vector<PassStats>;
+
+/** Run the "dedup,dce" cleanup pipeline over a copy of @p program. */
+Program
+cleanup(const Program &program, CleanupStats *stats = nullptr)
+{
+    Program out = program;
+    CleanupStats run = comp::PassManager::parse("dedup,dce").run(out);
+    if (stats != nullptr)
+        *stats = std::move(run);
+    return out;
+}
 
 /** A chain graph with plenty of repeated constants (identity seeds). */
 FactorGraph
@@ -49,14 +64,15 @@ TEST(Optimize, MergesConstantsAndShrinksProgram)
     FactorGraph graph = chainGraph(6, values, rng);
     const Program original = comp::compileGraph(graph, values);
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(original, &stats);
+    CleanupStats stats;
+    const Program optimized = cleanup(original, &stats);
 
-    EXPECT_EQ(stats.before, original.instructions.size());
-    EXPECT_EQ(stats.after, optimized.instructions.size());
-    EXPECT_LT(stats.after, stats.before);
+    ASSERT_EQ(stats.size(), 2u);
+    EXPECT_EQ(stats[0].before, original.instructions.size());
+    EXPECT_EQ(stats[1].after, optimized.instructions.size());
+    EXPECT_LT(stats[1].after, stats[0].before);
     // Between factors share identity-seed constants across factors.
-    EXPECT_GT(stats.mergedConstants, 3u);
+    EXPECT_GT(stats[0].rewrites, 3u);
     EXPECT_LE(optimized.valueSlots, original.valueSlots);
 
     // Dependences stay well formed.
@@ -71,7 +87,7 @@ TEST(Optimize, PreservesSemantics)
     Values values;
     FactorGraph graph = chainGraph(7, values, rng);
     const Program original = comp::compileGraph(graph, values);
-    const Program optimized = comp::optimizeProgram(original);
+    const Program optimized = cleanup(original);
 
     comp::Executor exec_a(original);
     comp::Executor exec_b(optimized);
@@ -122,9 +138,9 @@ TEST(Optimize, RemovesUnreachableWork)
     program.instructions.push_back(store);
     program.deltas.push_back({7, 2});
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
-    EXPECT_EQ(stats.removedDead, 1u);
+    CleanupStats stats;
+    const Program optimized = cleanup(program, &stats);
+    EXPECT_EQ(stats[1].rewrites, 1u);
     EXPECT_EQ(optimized.instructions.size(), 3u);
 
     fg::Values values;
@@ -139,14 +155,14 @@ TEST(Optimize, EmptyProgramIsANoOp)
     Program program;
     program.name = "empty";
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
+    CleanupStats stats;
+    const Program optimized = cleanup(program, &stats);
     EXPECT_EQ(optimized.instructions.size(), 0u);
     EXPECT_EQ(optimized.valueSlots, 0u);
-    EXPECT_EQ(stats.before, 0u);
-    EXPECT_EQ(stats.after, 0u);
-    EXPECT_EQ(stats.mergedConstants, 0u);
-    EXPECT_EQ(stats.removedDead, 0u);
+    EXPECT_EQ(stats[0].before, 0u);
+    EXPECT_EQ(stats[1].after, 0u);
+    EXPECT_EQ(stats[0].rewrites, 0u);
+    EXPECT_EQ(stats[1].rewrites, 0u);
 }
 
 TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
@@ -174,11 +190,11 @@ TEST(Optimize, ProgramWithoutStoresIsEntirelyDead)
     neg.cols = 1;
     program.instructions.push_back(neg);
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
+    CleanupStats stats;
+    const Program optimized = cleanup(program, &stats);
     EXPECT_EQ(optimized.instructions.size(), 0u);
     EXPECT_EQ(optimized.valueSlots, 0u);
-    EXPECT_EQ(stats.removedDead, 2u);
+    EXPECT_EQ(stats[1].rewrites, 2u);
 }
 
 TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
@@ -216,9 +232,9 @@ TEST(Optimize, MergesLoadsThatDifferOnlyInSlot)
     program.instructions.push_back(store);
     program.deltas.push_back({3, 2});
 
-    comp::OptimizeStats stats;
-    const Program optimized = comp::optimizeProgram(program, &stats);
-    EXPECT_EQ(stats.mergedConstants, 1u);
+    CleanupStats stats;
+    const Program optimized = cleanup(program, &stats);
+    EXPECT_EQ(stats[0].rewrites, 1u);
     EXPECT_EQ(optimized.instructions.size(), 3u);
 
     fg::Values values;
@@ -255,6 +271,22 @@ TEST(Optimize, RewriteDetectsUseOfUndefinedSlot)
     std::vector<bool> drop = {true, false}; // Drop the only producer.
     EXPECT_THROW(comp::rewriteProgram(program, drop, {}),
                  std::logic_error);
+
+    // Slot tables are dense and indexed by slot, so a slot at or
+    // beyond valueSlots must be rejected, not read out of bounds:
+    // first as an operand...
+    const std::vector<bool> keep(program.instructions.size(), false);
+    Program wild_src = program;
+    wild_src.instructions[1].srcs = {
+        static_cast<std::uint32_t>(program.valueSlots)};
+    EXPECT_THROW(comp::rewriteProgram(wild_src, keep, {}),
+                 std::logic_error);
+
+    // ...then as the target of a merge remap.
+    std::vector<std::uint32_t> wild_remap = {
+        static_cast<std::uint32_t>(program.valueSlots + 5), 1};
+    EXPECT_THROW(comp::rewriteProgram(program, keep, wild_remap),
+                 std::logic_error);
 }
 
 TEST(Optimize, AcceleratesOnTheSimulatedHardware)
@@ -264,7 +296,7 @@ TEST(Optimize, AcceleratesOnTheSimulatedHardware)
     Values values;
     FactorGraph graph = chainGraph(8, values, rng);
     const Program original = comp::compileGraph(graph, values);
-    const Program optimized = comp::optimizeProgram(original);
+    const Program optimized = cleanup(original);
 
     // (Include hw only through the executor-equivalent check here;
     // the cycle comparison lives in the ablation bench.)

@@ -1,13 +1,14 @@
 // The pass-based compiler pipeline: PassManager parsing and
 // verification, bit-identical deltas of the optimizing passes on the
 // four benchmark applications, Engine pass diagnostics, encoding of
-// the fused opcodes, and a golden instruction-count regression per
-// application.
+// the fused opcodes, and golden per-application regressions: the
+// instruction counts, and a digest of every pipeline output listing.
 //
-// Regenerate the checked-in instruction counts after an intentional
+// Regenerate the checked-in golden files after an intentional
 // compiler change with:
 //   ORIANNA_REGEN_GOLDEN=1 ./test_passes
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -47,6 +48,8 @@ constexpr unsigned kBenchSeed = 5;
 
 const char *kGoldenPath =
     ORIANNA_GOLDEN_DIR "/instruction_counts.txt";
+const char *kListingGoldenPath =
+    ORIANNA_GOLDEN_DIR "/pipeline_listing.digest";
 
 /** All four benchmark applications, compiled once per process. */
 const std::vector<apps::BenchmarkApp> &
@@ -106,6 +109,31 @@ chainGraph(std::size_t n, Values &values, std::mt19937 &rng)
     graph.emplace<fg::PriorFactor>(0u, Pose::identity(3),
                                    fg::isotropicSigmas(6, 0.01));
     return graph;
+}
+
+/**
+ * Compare @p text with the checked-in golden file at @p path, or
+ * rewrite the file when ORIANNA_REGEN_GOLDEN is set.
+ */
+void
+expectMatchesGolden(const char *path, const std::string &text)
+{
+    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path);
+        out << text;
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        GTEST_SKIP() << "regenerated " << path;
+    }
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << path
+        << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(text, golden.str())
+        << path << " moved; if intentional, regenerate with "
+           "ORIANNA_REGEN_GOLDEN=1 ./test_passes";
 }
 
 // --- The paper-facing acceptance criterion ---------------------------
@@ -190,22 +218,67 @@ TEST(Passes, InstructionCountsMatchCheckedInGolden)
         }
     }
 
-    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(kGoldenPath);
-        out << digest.str();
-        ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-        GTEST_SKIP() << "regenerated " << kGoldenPath;
-    }
+    expectMatchesGolden(kGoldenPath, digest.str());
+}
 
-    std::ifstream in(kGoldenPath);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << kGoldenPath
-        << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(digest.str(), golden.str())
-        << "per-app instruction counts moved; if intentional, "
-           "regenerate with ORIANNA_REGEN_GOLDEN=1 ./test_passes";
+/** 64-bit FNV-1a, printed as 16 hex digits. */
+std::string
+fnv1a64(const std::string &text)
+{
+    std::uint64_t hash = 14695981039346656037ull;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 1099511628211ull;
+    }
+    char out[17];
+    std::snprintf(out, sizeof out, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return out;
+}
+
+/**
+ * Everything a pass rewrite can renumber or reorder: the listing
+ * (opcodes, shapes, dst/src slots, deps, slot count), the gather
+ * placements and the delta bindings.
+ */
+std::string
+listingDigest(const Program &program)
+{
+    std::ostringstream text;
+    text << program.str();
+    for (std::size_t i = 0; i < program.instructions.size(); ++i)
+        for (const comp::GatherPlacement &p :
+             program.instructions[i].placements)
+            text << "%" << i << " place v" << p.src << " @"
+                 << p.rowBegin << "," << p.colBegin
+                 << (p.isRhs ? " rhs" : "") << "\n";
+    for (const comp::DeltaBinding &binding : program.deltas)
+        text << "delta " << binding.key << " v" << binding.slot
+             << "\n";
+    return fnv1a64(text.str());
+}
+
+TEST(Passes, PipelineListingsMatchCheckedInGolden)
+{
+    // instruction_counts.txt pins sizes only; this pins the slot
+    // numbering, deps and bindings of the default-pipeline program,
+    // its "dedup,dce" reference stream and the dense "dedup,dce"
+    // stream of every algorithm.
+    std::ostringstream digest;
+    digest << "seed " << kBenchSeed << " fnv1a64 of listing, "
+           << "placements and delta bindings\n";
+    for (const apps::BenchmarkApp &bench : compiledApps()) {
+        for (std::size_t a = 0; a < bench.app.size(); ++a) {
+            const core::Algorithm &algo = bench.app.algorithm(a);
+            digest << bench.app.name() << " " << algo.name
+                   << " default " << listingDigest(algo.program)
+                   << " dedup,dce "
+                   << listingDigest(algo.referenceProgram)
+                   << " dense " << listingDigest(algo.denseProgram)
+                   << "\n";
+        }
+    }
+    expectMatchesGolden(kListingGoldenPath, digest.str());
 }
 
 // --- PassManager parsing and pipeline construction -------------------
