@@ -30,8 +30,8 @@ struct AdmissionOptions
  * Admission control / backpressure in front of a ServerPool's pinned
  * lanes: the overload valve of the serving stack (DESIGN.md §5).
  *
- * Callers route work to a worker (typically the EngineGroup replica
- * owner chosen by fingerprint affinity) through submit(), which
+ * Callers route work to a worker (a session's pinned lane, chosen by
+ * the caller's routing policy) through submit(), which
  * either admits the task into that worker's bounded lane or rejects
  * it outright. Overload therefore degrades into explicit, cheap
  * rejections the client can retry elsewhere — never into an

@@ -41,10 +41,10 @@ struct PoolOptions
  * milliseconds each, so queue operations are not the bottleneck).
  *
  * Besides the batch deque every worker owns a *pinned* lane
- * (submitPinned): tasks routed to a specific worker — the affinity
- * traffic of the EngineGroup serving path — which are never stolen,
- * so worker-local state (engine replicas, warm contexts) stays
- * single-owner without locks. A worker drains its pinned lane before
+ * (submitPinned): tasks routed to a specific worker — the admitted
+ * session traffic of the serving path — which are never stolen, so
+ * worker-local state (warm contexts) stays single-owner without
+ * locks. A worker drains its pinned lane before
  * touching batch work.
  *
  * Worker identity is exposed through currentWorker() so callers can
@@ -129,7 +129,7 @@ class ServerPool
     /**
      * Enqueue one task pinned to @p worker's lane. Pinned tasks are
      * never stolen and are drained before the worker's batch deque,
-     * which is what gives EngineGroup replicas their single-owner
+     * which is what gives worker-local state its single-owner
      * guarantee. Returns immediately; completion tracking (and
      * exception containment — a pinned task has no batch waiter to
      * rethrow into, so it must not throw) is the caller's job:

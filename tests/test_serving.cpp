@@ -1,13 +1,9 @@
-// The sharded serving stack (DESIGN.md §5): EngineGroup replica
-// caches with fingerprint-affinity routing, AdmissionController
-// bounded lanes, and the ServerPool's pinned/EDF disciplines.
+// The serving stack in front of the shared Engine (DESIGN.md §5):
+// AdmissionController bounded lanes and the ServerPool's pinned/EDF
+// disciplines. Single-flight compiles and byte-identical concurrent
+// sessions of the Engine itself are covered in test_runtime.cpp.
 //
 // The invariants under test are the serving-layer contract:
-//   - routing is a pure function of the fingerprint (deterministic);
-//   - replica-served sessions are bit-identical to shared-Engine
-//     sessions on all four benchmark applications;
-//   - racing replicas dedup through the group's single-flight table
-//     (one compile, N-1 shared hits, then lock-free local hits);
 //   - admission rejection under saturation is typed and leaves the
 //     rejected client's state untouched;
 //   - EDF ordering drains pinned lanes by deadline but never changes
@@ -29,7 +25,6 @@
 #include "apps/benchmark_apps.hpp"
 #include "runtime/admission.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/engine_group.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/server_pool.hpp"
 
@@ -78,119 +73,6 @@ bitIdentical(const fg::Values &a, const fg::Values &b)
         }
     }
     return true;
-}
-
-TEST(EngineGroupTest, AffinityRoutingIsDeterministic)
-{
-    apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, 7);
-    const core::Algorithm &loc = bench.app.algorithm(0);
-    const std::uint64_t fingerprint =
-        runtime::graphFingerprint(loc.graph, loc.values);
-
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               /*replicas=*/5);
-    EXPECT_EQ(group.replicaOf(fingerprint), fingerprint % 5u);
-    EXPECT_EQ(group.route(loc.graph, loc.values),
-              group.replicaOf(fingerprint));
-    // Routing must survive the graph being rebuilt: an identical
-    // mission (same seed, same measurements) lands on the same
-    // replica forever.
-    apps::BenchmarkApp again =
-        apps::buildApp(apps::AppKind::MobileRobot, 7);
-    const core::Algorithm &loc2 = again.app.algorithm(0);
-    EXPECT_EQ(runtime::graphFingerprint(loc2.graph, loc2.values),
-              fingerprint);
-    EXPECT_EQ(group.route(loc2.graph, loc2.values),
-              group.replicaOf(fingerprint));
-    // A different mission may route elsewhere, but equally stably.
-    apps::BenchmarkApp other =
-        apps::buildApp(apps::AppKind::MobileRobot, 8);
-    const core::Algorithm &loc3 = other.app.algorithm(0);
-    EXPECT_EQ(group.route(loc3.graph, loc3.values),
-              group.route(loc3.graph, loc3.values));
-}
-
-TEST(EngineGroupTest, ReplicaSessionsMatchSharedEngineOnAllApps)
-{
-    constexpr std::size_t kSteps = 3;
-    for (const apps::AppKind kind :
-         {apps::AppKind::MobileRobot, apps::AppKind::Manipulator,
-          apps::AppKind::AutoVehicle, apps::AppKind::Quadrotor}) {
-        apps::BenchmarkApp bench = apps::buildApp(kind, 3);
-        for (std::size_t a = 0; a < bench.app.size(); ++a) {
-            const core::Algorithm &alg = bench.app.algorithm(a);
-
-            runtime::Engine engine(
-                hw::AcceleratorConfig::minimal(true));
-            runtime::Session shared =
-                engine.session(alg.graph, alg.values);
-            shared.iterate(kSteps);
-
-            runtime::EngineGroup group(
-                hw::AcceleratorConfig::minimal(true), /*replicas=*/3);
-            const unsigned replica =
-                group.route(alg.graph, alg.values);
-            runtime::Session replicated =
-                group.session(replica, alg.graph, alg.values);
-            replicated.iterate(kSteps);
-
-            EXPECT_TRUE(
-                bitIdentical(shared.values(), replicated.values()))
-                << "app " << static_cast<int>(kind) << " algorithm "
-                << a;
-        }
-    }
-}
-
-TEST(EngineGroupTest, SingleFlightDedupAcrossReplicas)
-{
-    apps::BenchmarkApp bench =
-        apps::buildApp(apps::AppKind::MobileRobot, 11);
-    const core::Algorithm &loc = bench.app.algorithm(0);
-
-    constexpr unsigned kReplicas = 4;
-    runtime::ServerPool pool(kReplicas);
-    // Pinned fp64: exact compile counts — an fp32 group would also
-    // compile each session's reference fallback.
-    runtime::EngineOptions fp64;
-    fp64.precision = comp::Precision::Fp64;
-    runtime::EngineGroup group(hw::AcceleratorConfig::minimal(true),
-                               fp64, kReplicas);
-    runtime::AdmissionController admission(pool, {});
-
-    // Every replica opens the same graph at once: the group's shared
-    // single-flight table must compile exactly once, the losers take
-    // shared hits, and nothing is cached locally yet anywhere else.
-    for (unsigned r = 0; r < kReplicas; ++r)
-        admission.submit(r, [&group, &loc, r] {
-            runtime::Session session =
-                group.session(r, loc.graph, loc.values);
-            session.step();
-        });
-    admission.drain();
-
-    runtime::EngineGroup::Stats stats = group.stats();
-    EXPECT_EQ(stats.compiles, 1u);
-    EXPECT_EQ(stats.sharedHits, kReplicas - 1);
-    EXPECT_EQ(stats.localHits, 0u);
-
-    // Steady state: reopening on each replica is a lock-free local
-    // hit — the shared engine is never consulted again.
-    for (unsigned r = 0; r < kReplicas; ++r)
-        admission.submit(r, [&group, &loc, r] {
-            runtime::Session session =
-                group.session(r, loc.graph, loc.values);
-            session.step();
-        });
-    admission.drain();
-
-    stats = group.stats();
-    EXPECT_EQ(stats.compiles, 1u);
-    EXPECT_EQ(stats.sharedHits, kReplicas - 1);
-    EXPECT_EQ(stats.localHits, kReplicas);
-    for (unsigned r = 0; r < kReplicas; ++r)
-        EXPECT_EQ(group.cachedPrograms(r), 1u) << "replica " << r;
 }
 
 TEST(AdmissionTest, RejectsWhenSaturatedAndLeavesValuesUntouched)
@@ -440,11 +322,8 @@ TEST(ServerPoolHelpTest, PinnedTasksNeverGateBatchCompletion)
     EXPECT_TRUE(pinned_ran.load());
 }
 
-TEST(EngineGroupTest, RejectsZeroReplicasAndZeroCapacity)
+TEST(AdmissionTest, RejectsZeroCapacity)
 {
-    EXPECT_THROW(runtime::EngineGroup(
-                     hw::AcceleratorConfig::minimal(true), 0),
-                 std::invalid_argument);
     runtime::ServerPool pool(1);
     EXPECT_THROW(runtime::AdmissionController(
                      pool, {/*queueCapacity=*/0}),

@@ -1,11 +1,14 @@
 // End-to-end tests of the command-line tools: runs the real
 // runtime_server and orianna_compile binaries (paths injected by
-// CMake) and checks their exported artifacts — the metrics registry
-// JSON and the unified Perfetto trace — plus the JSON serving
-// protocol over real pipes (responses, exit codes, warm restart from
-// a --cache-dir) and the argument-validation error paths (bad values
-// and unknown flags must print usage and exit nonzero without doing
-// work).
+// CMake) and checks the JSON serving protocol over real pipes
+// (responses, exit codes, warm restart from a --cache-dir), the
+// artifacts orianna_compile --threads exports — the metrics registry
+// JSON and the unified Perfetto trace — and the argument-validation
+// error paths (bad values and unknown flags must print usage and exit
+// nonzero without doing work).
+//
+// ctest runs every TEST as its own process, in parallel, so each test
+// keeps its scratch files under names no other test uses.
 
 #include <cstdio>
 #include <cstdlib>
@@ -102,11 +105,15 @@ runCapture(const std::string &command, const std::string &input,
     return result;
 }
 
-/** A two-vertex pose graph in g2o text form. */
+/**
+ * A two-vertex pose graph in g2o text form, written under the
+ * caller's unique @p tag so parallel tests never rewrite a file
+ * another test is reading.
+ */
 std::string
-writeTinyG2o()
+writeTinyG2o(const std::string &tag)
 {
-    const std::string path = tmpPath("tiny.g2o");
+    const std::string path = tmpPath(tag + "_tiny.g2o");
     std::ofstream out(path);
     out << "VERTEX_SE2 0 0 0 0\n"
         << "VERTEX_SE2 1 1 0 0.1\n"
@@ -117,86 +124,13 @@ writeTinyG2o()
 
 // --- runtime_server -------------------------------------------------
 
-TEST(RuntimeServerTool, ServesAndExportsMetricsAndTrace)
-{
-    const std::string metrics_path = tmpPath("server_metrics.json");
-    const std::string trace_path = tmpPath("server_trace.json");
-    ASSERT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --threads 4 --metrics " + metrics_path +
-                  " --trace " + trace_path),
-              0);
-
-    // Metrics: the acceptance-criteria quantities must all be there.
-    // The export self-reports whether instrumentation was compiled in
-    // (ORIANNA_METRICS=OFF still emits a valid, empty registry).
-    const JsonPtr metrics = parseJsonFile(metrics_path);
-    if (metrics->at("compiled").boolean) {
-        const auto &counters = metrics->at("counters");
-        EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
-        // The clients share one fingerprint, so after the first
-        // compile the later sessions are replica-local hits; the
-        // shared engine's cache is never consulted again.
-        EXPECT_EQ(counters.at("engine_group.local_hits").asNumber(),
-                  2.0);
-        EXPECT_NEAR(
-            metrics->at("derived").at("cache_hit_rate").asNumber(),
-            2.0 / 3.0, 1e-6); // Serialized to 6 digits.
-        // Every client passed admission control into a pinned lane.
-        EXPECT_EQ(counters.at("admission.admitted").asNumber(), 3.0);
-        EXPECT_EQ(counters.at("pool.pinned_tasks").asNumber(), 3.0);
-        // 3 clients x 4 frames each.
-        EXPECT_EQ(counters.at("frame.count").asNumber(), 12.0);
-        const auto &simulate =
-            metrics->at("histograms").at("frame.simulate_us");
-        EXPECT_EQ(simulate.at("count").asNumber(), 12.0);
-        EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
-        EXPECT_GE(simulate.at("p99_us").asNumber(),
-                  simulate.at("p50_us").asNumber());
-        const auto &utilization =
-            metrics->at("derived").at("utilization").asObject();
-        EXPECT_FALSE(utilization.empty());
-        for (const auto &[unit, share] : utilization) {
-            EXPECT_GT(share->asNumber(), 0.0) << unit;
-            EXPECT_LE(share->asNumber(), 1.0) << unit;
-        }
-    } else {
-        EXPECT_TRUE(
-            metrics->at("derived").at("cache_hit_rate").isNull());
-    }
-
-    // Trace: one runtime process with per-session tracks; session ->
-    // frame -> stage spans nested by time; hardware rows below.
-    const JsonPtr trace = parseJsonFile(trace_path);
-    std::size_t sessions = 0;
-    std::size_t frames = 0;
-    std::size_t stages = 0;
-    std::size_t hw_events = 0;
-    for (const JsonPtr &event : trace->asArray()) {
-        if (event->at("ph").asString() == "M")
-            continue;
-        EXPECT_EQ(event->at("ph").asString(), "X");
-        const double pid = event->at("pid").asNumber();
-        if (pid >= 1000) {
-            ++hw_events;
-            continue;
-        }
-        const std::string &category = event->at("cat").asString();
-        if (category == "session")
-            ++sessions;
-        else if (category == "frame")
-            ++frames;
-        else if (category == "stage")
-            ++stages;
-    }
-    EXPECT_EQ(sessions, 3u);
-    EXPECT_EQ(frames, 12u);
-    EXPECT_EQ(stages, 24u); // simulate + update per frame.
-    EXPECT_GT(hw_events, 0u);
-}
-
 TEST(RuntimeServerTool, RejectsBadThreadCounts)
 {
+    // The protocol server takes no --threads at all (multi-threaded
+    // serving is orianna_compile --threads): every value is a usage
+    // error, a well-formed one included.
     const std::string tool = ORIANNA_RUNTIME_SERVER;
+    EXPECT_EQ(run(tool + " --threads 4"), 2);
     EXPECT_EQ(run(tool + " --threads 0"), 2);
     EXPECT_EQ(run(tool + " --threads -3"), 2);
     EXPECT_EQ(run(tool + " --threads banana"), 2);
@@ -205,25 +139,17 @@ TEST(RuntimeServerTool, RejectsBadThreadCounts)
 
 TEST(RuntimeServerTool, RejectsBadServingFlags)
 {
+    // None of these is a runtime_server flag (pool, export and fault
+    // flags live on orianna_compile --threads): each gets the usage
+    // error (exit 2) whatever the value, never silent acceptance.
     const std::string tool = ORIANNA_RUNTIME_SERVER;
-    EXPECT_EQ(run(tool + " --replicas 0"), 2);
-    EXPECT_EQ(run(tool + " --replicas -1"), 2);
-    EXPECT_EQ(run(tool + " --replicas banana"), 2);
-    EXPECT_EQ(run(tool + " --replicas"), 2); // Missing value.
-    EXPECT_EQ(run(tool + " --queue-cap 0"), 2);
-    EXPECT_EQ(run(tool + " --queue-cap -7"), 2);
-    EXPECT_EQ(run(tool + " --queue-cap"), 2);
-}
-
-TEST(RuntimeServerTool, ServesWithExplicitShardingFlags)
-{
-    // Replicas decoupled from workers, a tight (but sufficient)
-    // queue bound, and EDF ordering: the cache expectations are
-    // identical because all three clients share one fingerprint.
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --threads 2 --replicas 4 --queue-cap 3"
-                  " --edf"),
-              0);
+    for (const char *flag :
+         {"demo", "edf", "fallback", "replicas 4", "replicas 0",
+          "replicas banana", "replicas", "queue-cap 3", "queue-cap 0",
+          "queue-cap -7", "queue-cap", "metrics m.json", "metrics",
+          "trace t.json", "trace", "inject-faults corrupt:all:0.5",
+          "inject-faults"})
+        EXPECT_EQ(run(tool + " --" + flag), 2) << flag;
 }
 
 TEST(RuntimeServerTool, RejectsUnknownFlags)
@@ -231,13 +157,6 @@ TEST(RuntimeServerTool, RejectsUnknownFlags)
     EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) + " --bogus"),
               2);
     EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) + " extra"), 2);
-}
-
-TEST(RuntimeServerTool, FailsOnUnwritableExportPath)
-{
-    EXPECT_EQ(run(std::string(ORIANNA_RUNTIME_SERVER) +
-                  " --demo --metrics /nonexistent-dir-orianna/m.json"),
-              1);
 }
 
 // --- runtime_server: JSON protocol over real pipes ------------------
@@ -405,7 +324,7 @@ TEST(RuntimeServerTool, ConcurrentStorePopulationSurvivesRestart)
 
 TEST(CompileTool, CompilesAndExportsUnifiedTrace)
 {
-    const std::string input = writeTinyG2o();
+    const std::string input = writeTinyG2o("trace");
     const std::string metrics_path = tmpPath("compile_metrics.json");
     const std::string trace_path = tmpPath("compile_trace.json");
     ASSERT_EQ(run(std::string(ORIANNA_COMPILE) + " " + input +
@@ -441,9 +360,101 @@ TEST(CompileTool, CompilesAndExportsUnifiedTrace)
     EXPECT_GT(hw_events, 0u);
 }
 
+TEST(CompileTool, ServesAndExportsMetricsAndTrace)
+{
+    // Three served sessions of one graph on one shared Engine, behind
+    // admission control, after the tool's own sequential session.
+    // Pinned fp64: an fp32 engine would also compile each session's
+    // reference fallback.
+    const std::string input = writeTinyG2o("serve");
+    const std::string metrics_path = tmpPath("serve_metrics.json");
+    const std::string trace_path = tmpPath("serve_trace.json");
+    ASSERT_EQ(run(std::string(ORIANNA_COMPILE) + " " + input +
+                  " --precision fp64 --iterate 4 --threads 3"
+                  " --metrics " + metrics_path +
+                  " --trace " + trace_path),
+              0);
+
+    // Metrics: the acceptance-criteria quantities must all be there.
+    // The export self-reports whether instrumentation was compiled in
+    // (ORIANNA_METRICS=OFF still emits a valid, empty registry).
+    const JsonPtr metrics = parseJsonFile(metrics_path);
+    if (metrics->at("compiled").boolean) {
+        const auto &counters = metrics->at("counters");
+        // The sessions share one fingerprint: the engine's
+        // single-flight table compiles once and the other two
+        // sessions are cache hits. (The tool's sequential session
+        // compiles outside the engine.)
+        EXPECT_EQ(counters.at("engine.compiles").asNumber(), 1.0);
+        EXPECT_EQ(counters.at("engine.cache_hits").asNumber(), 2.0);
+        EXPECT_NEAR(
+            metrics->at("derived").at("cache_hit_rate").asNumber(),
+            2.0 / 3.0, 1e-6); // Serialized to 6 digits.
+        // Every session passed admission control into a pinned lane.
+        EXPECT_EQ(counters.at("admission.admitted").asNumber(), 3.0);
+        EXPECT_EQ(counters.at("pool.pinned_tasks").asNumber(), 3.0);
+        // (1 sequential + 3 served sessions) x 4 frames each.
+        EXPECT_EQ(counters.at("frame.count").asNumber(), 16.0);
+        const auto &simulate =
+            metrics->at("histograms").at("frame.simulate_us");
+        EXPECT_EQ(simulate.at("count").asNumber(), 16.0);
+        EXPECT_GT(simulate.at("p50_us").asNumber(), 0.0);
+        EXPECT_GE(simulate.at("p99_us").asNumber(),
+                  simulate.at("p50_us").asNumber());
+        const auto &utilization =
+            metrics->at("derived").at("utilization").asObject();
+        EXPECT_FALSE(utilization.empty());
+        for (const auto &[unit, share] : utilization) {
+            EXPECT_GT(share->asNumber(), 0.0) << unit;
+            EXPECT_LE(share->asNumber(), 1.0) << unit;
+        }
+    } else {
+        EXPECT_TRUE(
+            metrics->at("derived").at("cache_hit_rate").isNull());
+    }
+
+    // Trace: one runtime process with per-session tracks; session ->
+    // frame -> stage spans nested by time; hardware rows below.
+    const JsonPtr trace = parseJsonFile(trace_path);
+    std::size_t sessions = 0;
+    std::size_t frames = 0;
+    std::size_t stages = 0;
+    std::size_t hw_events = 0;
+    for (const JsonPtr &event : trace->asArray()) {
+        if (event->at("ph").asString() == "M")
+            continue;
+        EXPECT_EQ(event->at("ph").asString(), "X");
+        const double pid = event->at("pid").asNumber();
+        if (pid >= 1000) {
+            ++hw_events;
+            continue;
+        }
+        const std::string &category = event->at("cat").asString();
+        if (category == "session")
+            ++sessions;
+        else if (category == "frame")
+            ++frames;
+        else if (category == "stage")
+            ++stages;
+    }
+    EXPECT_EQ(sessions, 4u);
+    EXPECT_EQ(frames, 16u);
+    EXPECT_EQ(stages, 32u); // simulate + update per frame.
+    EXPECT_GT(hw_events, 0u);
+}
+
+TEST(CompileTool, FailsOnUnwritableExportPath)
+{
+    const std::string input = writeTinyG2o("unwritable");
+    EXPECT_EQ(run(std::string(ORIANNA_COMPILE) + " " + input +
+                  " --threads 2 --metrics "
+                  "/nonexistent-dir-orianna/m.json"),
+              1);
+}
+
 TEST(CompileTool, CacheDirSkipsRecompilationOnSecondRun)
 {
-    const std::string input = writeTinyG2o();
+    const std::string input = writeTinyG2o("cache");
     const std::string dir = tmpPath("compile_cache");
     std::filesystem::remove_all(dir);
     const std::string command = std::string(ORIANNA_COMPILE) + " " +
@@ -474,12 +485,18 @@ TEST(CompileTool, CacheDirSkipsRecompilationOnSecondRun)
 TEST(CompileTool, RejectsBadArguments)
 {
     const std::string tool = ORIANNA_COMPILE;
-    const std::string input = writeTinyG2o();
+    const std::string input = writeTinyG2o("badargs");
     EXPECT_EQ(run(tool), 2); // No input at all.
     EXPECT_EQ(run(tool + " " + input + " --iterate 0"), 2);
     EXPECT_EQ(run(tool + " " + input + " --iterate -5"), 2);
     EXPECT_EQ(run(tool + " " + input + " --threads 0"), 2);
     EXPECT_EQ(run(tool + " " + input + " --threads x"), 2);
+    // Above UINT_MAX: rejected, not wrapped around to a small count.
+    EXPECT_EQ(run(tool + " " + input + " --threads 4294967296"), 2);
+    EXPECT_EQ(run(tool + " " + input + " --threads 4294967297"), 2);
+    EXPECT_EQ(run(tool + " " + input +
+                  " --threads 99999999999999999999999"),
+              2);
     EXPECT_EQ(run(tool + " " + input + " --bogus"), 2);
     EXPECT_EQ(run(tool + " " + input + " second.g2o"), 2);
     EXPECT_EQ(run(tool + " " + input + " --simd bogus"), 2);
@@ -488,9 +505,10 @@ TEST(CompileTool, RejectsBadArguments)
 TEST(CompileTool, SimdTierSelection)
 {
     const std::string tool = ORIANNA_COMPILE;
-    const std::string input = writeTinyG2o();
+    const std::string input = writeTinyG2o("simd");
     // Scalar is always compiled and supported; auto always resolves.
     EXPECT_EQ(run(tool + " " + input + " --simd scalar --simulate"), 0);
+    EXPECT_EQ(run(tool + " " + input + " --simd scalar --threads 2"), 0);
     EXPECT_EQ(run(tool + " " + input + " --simd auto --simulate"), 0);
     // A known-but-unavailable tier warns and falls back instead of
     // failing, so pinned CI legs degrade gracefully; both names are
@@ -502,8 +520,8 @@ TEST(CompileTool, SimdTierSelection)
 TEST(RuntimeServerTool, SimdTierSelection)
 {
     const std::string tool = ORIANNA_RUNTIME_SERVER;
-    EXPECT_EQ(run(tool + " --demo --threads 2 --simd scalar"), 0);
-    EXPECT_EQ(run(tool + " --threads 2 --simd bogus"), 2);
+    EXPECT_EQ(run(tool + " --simd scalar"), 0);
+    EXPECT_EQ(run(tool + " --simd bogus"), 2);
 }
 
 TEST(CompileTool, FailsCleanlyOnMissingInput)
