@@ -263,6 +263,38 @@ encodeProgram(const Program &program)
     return w.take();
 }
 
+namespace {
+
+/**
+ * Every slot an instruction names is inside the value table, and no
+ * instruction reads the slot it writes (STORE writes none; its dst
+ * names its source). The interpreter writes results into the
+ * destination slot in place, which is sound only for such programs;
+ * the compiler emits nothing else, so this guards programs read back
+ * from disk.
+ */
+bool
+slotsAreSsa(const Program &program)
+{
+    const auto fits = [&](std::uint32_t slot) {
+        return slot < program.valueSlots;
+    };
+    for (const Instruction &inst : program.instructions) {
+        const bool writes = inst.op != IsaOp::STORE;
+        if (!fits(inst.dst))
+            return false;
+        for (std::uint32_t src : inst.srcs)
+            if (!fits(src) || (writes && src == inst.dst))
+                return false;
+        for (const GatherPlacement &p : inst.placements)
+            if (!fits(p.src) || p.src == inst.dst)
+                return false;
+    }
+    return true;
+}
+
+} // namespace
+
 Program
 decodeProgram(const std::vector<std::uint8_t> &bytes)
 {
@@ -297,6 +329,8 @@ decodeProgram(const std::vector<std::uint8_t> &bytes)
         program.instructions.push_back(decodeInstruction(r));
     if (!r.done())
         throw std::runtime_error("decodeProgram: trailing bytes");
+    if (!slotsAreSsa(program))
+        throw std::runtime_error("decodeProgram: bad slot reference");
     return program;
 }
 

@@ -26,6 +26,8 @@ template <> struct Ext<double>
     static const Matrix &in(const Matrix &m) { return m; }
     static Vector out(Vector v) { return v; }
     static Matrix out(Matrix m) { return m; }
+    static void load(const Vector &v, Vector &dst) { dst = v; }
+    static void load(const Matrix &m, Matrix &dst) { dst = m; }
 };
 
 template <> struct Ext<float>
@@ -34,27 +36,38 @@ template <> struct Ext<float>
     static Matrix in(const mat::MatrixF &m) { return mat::toDouble(m); }
     static mat::VectorF out(const Vector &v) { return mat::toFloat(v); }
     static mat::MatrixF out(const Matrix &m) { return mat::toFloat(m); }
+    static void load(const Vector &v, mat::VectorF &dst)
+    {
+        mat::toFloat(v, dst);
+    }
+    static void load(const Matrix &m, mat::MatrixF &dst)
+    {
+        mat::toFloat(m, dst);
+    }
 };
 
-/** Elementwise hinge max(0, eps - x). */
+/**
+ * The destination slot as a matrix (vector), keeping the buffer it
+ * already holds so a warm slot is overwritten in place. Its entries
+ * are stale: the caller writes every one, zero-filling first where
+ * the op leaves entries unset.
+ */
 template <typename T>
-mat::VectorT<T>
-hinge(const mat::VectorT<T> &v, double eps)
+mat::MatrixT<T> &
+matrixSlot(SlotValueT<T> &slot)
 {
-    mat::VectorT<T> out(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] = std::max(T(0), T(eps) - v[i]);
-    return out;
+    if (auto *m = std::get_if<mat::MatrixT<T>>(&slot))
+        return *m;
+    return slot.template emplace<mat::MatrixT<T>>();
 }
 
 template <typename T>
-mat::MatrixT<T>
-hingeJacobian(const mat::VectorT<T> &v, double eps)
+mat::VectorT<T> &
+vectorSlot(SlotValueT<T> &slot)
 {
-    mat::MatrixT<T> j(v.size(), v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        j(i, i) = (v[i] < T(eps)) ? T(-1) : T(0);
-    return j;
+    if (auto *v = std::get_if<mat::VectorT<T>>(&slot))
+        return *v;
+    return slot.template emplace<mat::VectorT<T>>();
 }
 
 Vector
@@ -79,26 +92,22 @@ projectJacobian(const Vector &p, const fg::CameraModel &c)
     return j;
 }
 
-/** Row-scale by 1/sigma (whitening) for matrices. */
+/** Row-scale by 1/sigma (whitening), in place. */
 template <typename T>
-mat::MatrixT<T>
-scaleRows(const mat::MatrixT<T> &m, const Vector &sigmas)
+void
+scaleRows(mat::MatrixT<T> &m, const Vector &sigmas)
 {
-    mat::MatrixT<T> out = m;
     for (std::size_t i = 0; i < m.rows(); ++i)
         for (std::size_t j = 0; j < m.cols(); ++j)
-            out(i, j) /= T(sigmas[i]);
-    return out;
+            m(i, j) /= T(sigmas[i]);
 }
 
 template <typename T>
-mat::VectorT<T>
-scaleRows(const mat::VectorT<T> &v, const Vector &sigmas)
+void
+scaleRows(mat::VectorT<T> &v, const Vector &sigmas)
 {
-    mat::VectorT<T> out = v;
     for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] /= T(sigmas[i]);
-    return out;
+        v[i] /= T(sigmas[i]);
 }
 
 } // namespace
@@ -160,20 +169,20 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
     switch (inst.op) {
       case IsaOp::LOADC:
         if (inst.constVec.size() > 0)
-            dst = Ext<T>::out(inst.constVec);
+            Ext<T>::load(inst.constVec, vectorSlot(dst));
         else
-            dst = Ext<T>::out(inst.constMat);
+            Ext<T>::load(inst.constMat, matrixSlot(dst));
         break;
       case IsaOp::LOADV:
         switch (inst.component) {
           case VarComponent::Phi:
-            dst = Ext<T>::out(values.pose(inst.key).phi());
+            Ext<T>::load(values.pose(inst.key).phi(), vectorSlot(dst));
             break;
           case VarComponent::Translation:
-            dst = Ext<T>::out(values.pose(inst.key).t());
+            Ext<T>::load(values.pose(inst.key).t(), vectorSlot(dst));
             break;
           case VarComponent::Whole:
-            dst = Ext<T>::out(values.vector(inst.key));
+            Ext<T>::load(values.vector(inst.key), vectorSlot(dst));
             break;
         }
         break;
@@ -184,40 +193,45 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         dst = Ext<T>::out(lie::logSo(Ext<T>::in(matrixAt(inst.srcs[0]))));
         break;
       case IsaOp::RT:
-        dst = matrixAt(inst.srcs[0]).transpose();
+        matrixAt(inst.srcs[0]).transposeInto(matrixSlot(dst));
         break;
       case IsaOp::RR:
       case IsaOp::MM: {
         const mat::MatrixT<T> &a = matrixAt(inst.srcs[0]);
         if (isVec(inst.srcs[1])) {
             // Vector operand treated as a column matrix.
-            dst = a * vectorAt(inst.srcs[1]).asColumn();
+            a.multiplyColumnInto(vectorAt(inst.srcs[1]), matrixSlot(dst));
         } else {
-            dst = a * matrixAt(inst.srcs[1]);
+            a.multiplyInto(matrixAt(inst.srcs[1]), matrixSlot(dst));
         }
         break;
       }
       case IsaOp::RV:
       case IsaOp::MV:
-        dst = matrixAt(inst.srcs[0]) * vectorAt(inst.srcs[1]);
+        matrixAt(inst.srcs[0]).multiplyInto(vectorAt(inst.srcs[1]),
+                                            vectorSlot(dst));
         break;
       case IsaOp::VADD:
         if (isVec(inst.srcs[0]))
-            dst = vectorAt(inst.srcs[0]) + vectorAt(inst.srcs[1]);
+            vectorAt(inst.srcs[0]).addInto(vectorAt(inst.srcs[1]),
+                                           vectorSlot(dst));
         else
-            dst = matrixAt(inst.srcs[0]) + matrixAt(inst.srcs[1]);
+            matrixAt(inst.srcs[0]).addInto(matrixAt(inst.srcs[1]),
+                                           matrixSlot(dst));
         break;
       case IsaOp::VSUB:
         if (isVec(inst.srcs[0]))
-            dst = vectorAt(inst.srcs[0]) - vectorAt(inst.srcs[1]);
+            vectorAt(inst.srcs[0]).subtractInto(vectorAt(inst.srcs[1]),
+                                                vectorSlot(dst));
         else
-            dst = matrixAt(inst.srcs[0]) - matrixAt(inst.srcs[1]);
+            matrixAt(inst.srcs[0]).subtractInto(matrixAt(inst.srcs[1]),
+                                                matrixSlot(dst));
         break;
       case IsaOp::NEG:
         if (isVec(inst.srcs[0]))
-            dst = -vectorAt(inst.srcs[0]);
+            vectorAt(inst.srcs[0]).negateInto(vectorSlot(dst));
         else
-            dst = -matrixAt(inst.srcs[0]);
+            matrixAt(inst.srcs[0]).negateInto(matrixSlot(dst));
         break;
       case IsaOp::HAT:
         dst = Ext<T>::out(lie::hat(Ext<T>::in(vectorAt(inst.srcs[0]))));
@@ -251,74 +265,72 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         dst = Ext<T>::out(std::move(j));
         break;
       }
-      case IsaOp::HINGE:
-        dst = hinge(vectorAt(inst.srcs[0]), inst.hingeEps);
+      case IsaOp::HINGE: {
+        // Elementwise hinge max(0, eps - x).
+        const mat::VectorT<T> &v = vectorAt(inst.srcs[0]);
+        mat::VectorT<T> &out = vectorSlot(dst);
+        out.resize(v.size());
+        for (std::size_t i = 0; i < v.size(); ++i)
+            out[i] = std::max(T(0), T(inst.hingeEps) - v[i]);
         break;
-      case IsaOp::HINGEJ:
-        dst = hingeJacobian(vectorAt(inst.srcs[0]), inst.hingeEps);
+      }
+      case IsaOp::HINGEJ: {
+        const mat::VectorT<T> &v = vectorAt(inst.srcs[0]);
+        mat::MatrixT<T> &j = matrixSlot(dst);
+        j.resize(v.size(), v.size());
+        j.fill(T(0));
+        for (std::size_t i = 0; i < v.size(); ++i)
+            j(i, i) = (v[i] < T(inst.hingeEps)) ? T(-1) : T(0);
         break;
-      case IsaOp::NORM:
-        dst = mat::VectorT<T>{vectorAt(inst.srcs[0]).norm()};
+      }
+      case IsaOp::NORM: {
+        const T norm = vectorAt(inst.srcs[0]).norm();
+        mat::VectorT<T> &out = vectorSlot(dst);
+        out.resize(1);
+        out[0] = norm;
         break;
+      }
       case IsaOp::HUBERW: {
         const T norm = vectorAt(inst.srcs[0]).norm();
         const T k = T(inst.hingeEps);
-        dst = mat::VectorT<T>{(k <= T(0) || norm <= k)
-                                  ? T(1)
-                                  : std::sqrt(k / norm)};
+        mat::VectorT<T> &out = vectorSlot(dst);
+        out.resize(1);
+        out[0] = (k <= T(0) || norm <= k) ? T(1) : std::sqrt(k / norm);
         break;
       }
       case IsaOp::SMUL: {
         const T scale = vectorAt(inst.srcs[1])[0];
         if (isVec(inst.srcs[0]))
-            dst = vectorAt(inst.srcs[0]) * scale;
+            vectorAt(inst.srcs[0]).scaleInto(scale, vectorSlot(dst));
         else
-            dst = matrixAt(inst.srcs[0]) * scale;
+            matrixAt(inst.srcs[0]).scaleInto(scale, matrixSlot(dst));
         break;
       }
       case IsaOp::NORMJ: {
         const mat::VectorT<T> &v = vectorAt(inst.srcs[0]);
         const T n = v.norm();
-        mat::MatrixT<T> j(1, v.size());
+        mat::MatrixT<T> &j = matrixSlot(dst);
+        j.resize(1, v.size());
+        j.fill(T(0));
         if (n > T(1e-12))
             for (std::size_t i = 0; i < v.size(); ++i)
                 j(0, i) = v[i] / n;
-        dst = std::move(j);
         break;
       }
       case IsaOp::SCALER:
-        if (isVec(inst.srcs[0]))
-            dst = scaleRows(vectorAt(inst.srcs[0]), inst.constVec);
-        else
-            dst = scaleRows(matrixAt(inst.srcs[0]), inst.constVec);
-        break;
-      case IsaOp::GATHER: {
-        // All-rhs placements at column zero assemble a vector;
-        // otherwise a dense matrix is built from the placements.
-        bool vector_gather = !inst.placements.empty();
-        for (const GatherPlacement &p : inst.placements)
-            vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
-        if (vector_gather) {
-            mat::VectorT<T> out(inst.rows);
-            for (const GatherPlacement &p : inst.placements)
-                out.setSegment(p.rowBegin, vectorAt(p.src));
-            dst = std::move(out);
+        if (isVec(inst.srcs[0])) {
+            mat::VectorT<T> &out = vectorSlot(dst);
+            out = vectorAt(inst.srcs[0]);
+            scaleRows(out, inst.constVec);
         } else {
-            mat::MatrixT<T> out(inst.rows, inst.cols);
-            for (const GatherPlacement &p : inst.placements) {
-                if (p.isRhs) {
-                    const mat::VectorT<T> &v = vectorAt(p.src);
-                    for (std::size_t i = 0; i < v.size(); ++i)
-                        out(p.rowBegin + i, p.colBegin) = v[i];
-                } else {
-                    out.setBlock(p.rowBegin, p.colBegin,
-                                 matrixAt(p.src));
-                }
-            }
-            dst = std::move(out);
+            mat::MatrixT<T> &out = matrixSlot(dst);
+            out = matrixAt(inst.srcs[0]);
+            scaleRows(out, inst.constVec);
         }
         break;
-      }
+      case IsaOp::GATHER:
+        gather(inst, dst);
+        break;
       case IsaOp::QR: {
         // Givens-array template on the augmented [A | b]: the last
         // column is the rhs and is carried through the rotations.
@@ -337,13 +349,13 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
       case IsaOp::EXTRACT: {
         const mat::MatrixT<T> &src = matrixAt(inst.srcs[0]);
         if (inst.extractVector) {
-            mat::VectorT<T> out(inst.rows);
+            mat::VectorT<T> &out = vectorSlot(dst);
+            out.resize(inst.rows);
             for (std::size_t i = 0; i < inst.rows; ++i)
                 out[i] = src(inst.extractRow + i, inst.extractCol);
-            dst = std::move(out);
         } else {
-            dst = src.block(inst.extractRow, inst.extractCol, inst.rows,
-                            inst.cols);
+            src.blockInto(inst.extractRow, inst.extractCol, inst.rows,
+                          inst.cols, matrixSlot(dst));
         }
         break;
       }
@@ -353,40 +365,56 @@ ExecutorT<T>::step(std::size_t index, const fg::Values &values)
         break;
       case IsaOp::STORE:
         break; // Host-visibility marker; no data change.
-      case IsaOp::GSCALE: {
+      case IsaOp::GSCALE:
         // Fused GATHER + SCALER: assemble exactly like GATHER, then
         // whiten rows exactly like SCALER — same FLOPs, same order,
         // so fusion stays bit-identical.
-        bool vector_gather = !inst.placements.empty();
-        for (const GatherPlacement &p : inst.placements)
-            vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
-        if (vector_gather) {
-            mat::VectorT<T> out(inst.rows);
-            for (const GatherPlacement &p : inst.placements)
-                out.setSegment(p.rowBegin, vectorAt(p.src));
-            dst = scaleRows(out, inst.constVec);
-        } else {
-            mat::MatrixT<T> out(inst.rows, inst.cols);
-            for (const GatherPlacement &p : inst.placements) {
-                if (p.isRhs) {
-                    const mat::VectorT<T> &v = vectorAt(p.src);
-                    for (std::size_t i = 0; i < v.size(); ++i)
-                        out(p.rowBegin + i, p.colBegin) = v[i];
-                } else {
-                    out.setBlock(p.rowBegin, p.colBegin,
-                                 matrixAt(p.src));
-                }
-            }
-            dst = scaleRows(out, inst.constVec);
-        }
+        gather(inst, dst);
+        if (auto *v = std::get_if<mat::VectorT<T>>(&dst))
+            scaleRows(*v, inst.constVec);
+        else
+            scaleRows(std::get<mat::MatrixT<T>>(dst), inst.constVec);
         break;
-      }
-      case IsaOp::MVSUB:
+      case IsaOp::MVSUB: {
         // Fused MV + VSUB: dst = src0 - src1 * src2, evaluated as the
         // unfused pair would (gemv first, then the subtraction).
-        dst = vectorAt(inst.srcs[0]) -
-              matrixAt(inst.srcs[1]) * vectorAt(inst.srcs[2]);
+        mat::VectorT<T> &out = vectorSlot(dst);
+        matrixAt(inst.srcs[1]).multiplyInto(vectorAt(inst.srcs[2]), out);
+        vectorAt(inst.srcs[0]).subtractInto(out, out);
         break;
+      }
+    }
+}
+
+template <typename T>
+void
+ExecutorT<T>::gather(const Instruction &inst, SlotValueT<T> &dst)
+{
+    // All-rhs placements at column zero assemble a vector; otherwise
+    // a dense matrix is built from the placements. Entries no
+    // placement covers are zero.
+    bool vector_gather = !inst.placements.empty();
+    for (const GatherPlacement &p : inst.placements)
+        vector_gather = vector_gather && p.isRhs && p.colBegin == 0;
+    if (vector_gather) {
+        mat::VectorT<T> &out = vectorSlot(dst);
+        out.resize(inst.rows);
+        out.fill(T(0));
+        for (const GatherPlacement &p : inst.placements)
+            out.setSegment(p.rowBegin, vectorAt(p.src));
+        return;
+    }
+    mat::MatrixT<T> &out = matrixSlot(dst);
+    out.resize(inst.rows, inst.cols);
+    out.fill(T(0));
+    for (const GatherPlacement &p : inst.placements) {
+        if (p.isRhs) {
+            const mat::VectorT<T> &v = vectorAt(p.src);
+            for (std::size_t i = 0; i < v.size(); ++i)
+                out(p.rowBegin + i, p.colBegin) = v[i];
+        } else {
+            out.setBlock(p.rowBegin, p.colBegin, matrixAt(p.src));
+        }
     }
 }
 

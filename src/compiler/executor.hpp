@@ -56,8 +56,13 @@ class ExecutorT
 
     /**
      * Execute a single instruction against the value table. Public so
-     * the cycle-level scheduler can fire instructions in its own
+     * the cycle-level simulator can fire instructions in its own
      * (out-of-order) sequence.
+     *
+     * Matrix/vector-unit ops write their result into the destination
+     * slot's existing buffer, so re-stepping a warm slot does not
+     * allocate; the destination never aliases a source (slots are
+     * SSA). Special-function ops, QR and BSUB build a fresh result.
      */
     void step(std::size_t index, const fg::Values &values);
 
@@ -89,6 +94,8 @@ class ExecutorT
 
   private:
     const mat::MatrixT<T> &matrixAt(std::uint32_t slot) const;
+    /** GATHER (and GSCALE's assembly) into @p dst, in place. */
+    void gather(const Instruction &inst, SlotValueT<T> &dst);
     const mat::VectorT<T> &vectorAt(std::uint32_t slot) const;
 
     const Program *program_;

@@ -1,8 +1,8 @@
 // Thin API-compatibility wrappers over the orianna::runtime layer.
 //
 // The scoreboard that used to live here as one monolithic simulate()
-// is now a pluggable runtime::Scheduler driven by a reusable
-// runtime::ExecutionContext; see src/runtime. These entry points
+// is now runtime::ExecutionContext, which drives the OoO / in-order
+// issue policies of runtime/scheduler.hpp. These entry points
 // build a context per call so existing one-shot callers keep working
 // unchanged; frame loops should hold a context (or a
 // runtime::Session) and reuse it.

@@ -1,5 +1,6 @@
 #include "matrix/dense.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <sstream>
@@ -22,13 +23,57 @@ requireSameSize(std::size_t a, std::size_t b, const char *what)
 } // namespace
 
 template <typename T>
+void
+VectorT<T>::fill(T value)
+{
+    std::fill(data_.begin(), data_.end(), value);
+}
+
+template <typename T>
+void
+VectorT<T>::addInto(const VectorT &other, VectorT &out) const
+{
+    requireSameSize(size(), other.size(), "Vector::operator+");
+    out.resize(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out[i] = data_[i] + other[i];
+}
+
+template <typename T>
+void
+VectorT<T>::subtractInto(const VectorT &other, VectorT &out) const
+{
+    requireSameSize(size(), other.size(), "Vector::operator-");
+    out.resize(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out[i] = data_[i] - other[i];
+}
+
+template <typename T>
+void
+VectorT<T>::negateInto(VectorT &out) const
+{
+    out.resize(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out[i] = -data_[i];
+}
+
+template <typename T>
+void
+VectorT<T>::scaleInto(T scale, VectorT &out) const
+{
+    out.resize(size());
+    for (std::size_t i = 0; i < size(); ++i)
+        out[i] = data_[i] * scale;
+    MacCounter::add(size());
+}
+
+template <typename T>
 VectorT<T>
 VectorT<T>::operator+(const VectorT &other) const
 {
-    requireSameSize(size(), other.size(), "Vector::operator+");
     VectorT out(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out[i] = data_[i] + other[i];
+    addInto(other, out);
     return out;
 }
 
@@ -36,10 +81,8 @@ template <typename T>
 VectorT<T>
 VectorT<T>::operator-(const VectorT &other) const
 {
-    requireSameSize(size(), other.size(), "Vector::operator-");
     VectorT out(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out[i] = data_[i] - other[i];
+    subtractInto(other, out);
     return out;
 }
 
@@ -48,8 +91,7 @@ VectorT<T>
 VectorT<T>::operator-() const
 {
     VectorT out(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out[i] = -data_[i];
+    negateInto(out);
     return out;
 }
 
@@ -58,9 +100,7 @@ VectorT<T>
 VectorT<T>::operator*(T scale) const
 {
     VectorT out(size());
-    for (std::size_t i = 0; i < size(); ++i)
-        out[i] = data_[i] * scale;
-    MacCounter::add(size());
+    scaleInto(scale, out);
     return out;
 }
 
@@ -209,14 +249,130 @@ MatrixT<T>::diagonal(const VectorT<T> &diag)
 }
 
 template <typename T>
-MatrixT<T>
-MatrixT<T>::operator+(const MatrixT &other) const
+void
+MatrixT<T>::resize(std::size_t rows, std::size_t cols)
+{
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+}
+
+template <typename T>
+void
+MatrixT<T>::fill(T value)
+{
+    std::fill(data_.begin(), data_.end(), value);
+}
+
+template <typename T>
+void
+MatrixT<T>::addInto(const MatrixT &other, MatrixT &out) const
 {
     requireSameSize(rows_, other.rows_, "Matrix::operator+ rows");
     requireSameSize(cols_, other.cols_, "Matrix::operator+ cols");
-    MatrixT out(rows_, cols_);
+    out.resize(rows_, cols_);
     for (std::size_t i = 0; i < data_.size(); ++i)
         out.data_[i] = data_[i] + other.data_[i];
+}
+
+template <typename T>
+void
+MatrixT<T>::subtractInto(const MatrixT &other, MatrixT &out) const
+{
+    requireSameSize(rows_, other.rows_, "Matrix::operator- rows");
+    requireSameSize(cols_, other.cols_, "Matrix::operator- cols");
+    out.resize(rows_, cols_);
+    for (std::size_t i = 0; i < data_.size(); ++i)
+        out.data_[i] = data_[i] - other.data_[i];
+}
+
+template <typename T>
+void
+MatrixT<T>::negateInto(MatrixT &out) const
+{
+    out.resize(rows_, cols_);
+    for (std::size_t i = 0; i < data_.size(); ++i)
+        out.data_[i] = -data_[i];
+}
+
+template <typename T>
+void
+MatrixT<T>::scaleInto(T scale, MatrixT &out) const
+{
+    out.resize(rows_, cols_);
+    for (std::size_t i = 0; i < data_.size(); ++i)
+        out.data_[i] = data_[i] * scale;
+    MacCounter::add(data_.size());
+}
+
+template <typename T>
+void
+MatrixT<T>::multiplyInto(const MatrixT &other, MatrixT &out) const
+{
+    requireSameSize(cols_, other.rows_, "Matrix::operator* inner");
+    // gemm accumulates: c += a * b on a zeroed c.
+    out.rows_ = rows_;
+    out.cols_ = other.cols_;
+    out.data_.assign(rows_ * other.cols_, T(0));
+    kernels::gemm(data_.data(), other.data_.data(), out.data_.data(),
+                  rows_, cols_, other.cols_);
+    MacCounter::add(rows_ * cols_ * other.cols_);
+}
+
+template <typename T>
+void
+MatrixT<T>::multiplyColumnInto(const VectorT<T> &column,
+                               MatrixT &out) const
+{
+    requireSameSize(cols_, column.size(), "Matrix::operator* inner");
+    out.rows_ = rows_;
+    out.cols_ = 1;
+    out.data_.assign(rows_, T(0));
+    kernels::gemm(data_.data(), column.data().data(), out.data_.data(),
+                  rows_, cols_, std::size_t{1});
+    MacCounter::add(rows_ * cols_);
+}
+
+template <typename T>
+void
+MatrixT<T>::multiplyInto(const VectorT<T> &vec, VectorT<T> &out) const
+{
+    requireSameSize(cols_, vec.size(), "Matrix::operator* vector");
+    // gemv writes every entry of its output.
+    out.resize(rows_);
+    if (rows_ > 0)
+        kernels::gemv(data_.data(), vec.data().data(), &out[0], rows_,
+                      cols_);
+    MacCounter::add(rows_ * cols_);
+}
+
+template <typename T>
+void
+MatrixT<T>::transposeInto(MatrixT &out) const
+{
+    out.resize(cols_, rows_);
+    kernels::transpose(data_.data(), out.data_.data(), rows_, cols_);
+}
+
+template <typename T>
+void
+MatrixT<T>::blockInto(std::size_t i0, std::size_t j0, std::size_t r,
+                      std::size_t c, MatrixT &out) const
+{
+    if (i0 + r > rows_ || j0 + c > cols_)
+        throw std::out_of_range("Matrix::block: out of range");
+    out.resize(r, c);
+    for (std::size_t i = 0; i < r; ++i)
+        for (std::size_t j = 0; j < c; ++j)
+            out(i, j) = (*this)(i0 + i, j0 + j);
+}
+
+template <typename T>
+MatrixT<T>
+MatrixT<T>::operator+(const MatrixT &other) const
+{
+    MatrixT out(rows_, cols_);
+    addInto(other, out);
     return out;
 }
 
@@ -224,11 +380,8 @@ template <typename T>
 MatrixT<T>
 MatrixT<T>::operator-(const MatrixT &other) const
 {
-    requireSameSize(rows_, other.rows_, "Matrix::operator- rows");
-    requireSameSize(cols_, other.cols_, "Matrix::operator- cols");
     MatrixT out(rows_, cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] = data_[i] - other.data_[i];
+    subtractInto(other, out);
     return out;
 }
 
@@ -237,8 +390,7 @@ MatrixT<T>
 MatrixT<T>::operator-() const
 {
     MatrixT out(rows_, cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] = -data_[i];
+    negateInto(out);
     return out;
 }
 
@@ -246,11 +398,8 @@ template <typename T>
 MatrixT<T>
 MatrixT<T>::operator*(const MatrixT &other) const
 {
-    requireSameSize(cols_, other.rows_, "Matrix::operator* inner");
-    MatrixT out(rows_, other.cols_);
-    kernels::gemm(data_.data(), other.data_.data(), out.data_.data(),
-                  rows_, cols_, other.cols_);
-    MacCounter::add(rows_ * cols_ * other.cols_);
+    MatrixT out;
+    multiplyInto(other, out);
     return out;
 }
 
@@ -296,9 +445,7 @@ MatrixT<T>
 MatrixT<T>::operator*(T scale) const
 {
     MatrixT out(rows_, cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] = data_[i] * scale;
-    MacCounter::add(data_.size());
+    scaleInto(scale, out);
     return out;
 }
 
@@ -306,12 +453,8 @@ template <typename T>
 VectorT<T>
 MatrixT<T>::operator*(const VectorT<T> &vec) const
 {
-    requireSameSize(cols_, vec.size(), "Matrix::operator* vector");
     VectorT<T> out(rows_);
-    if (rows_ > 0)
-        kernels::gemv(data_.data(), vec.data().data(), &out[0], rows_,
-                      cols_);
-    MacCounter::add(rows_ * cols_);
+    multiplyInto(vec, out);
     return out;
 }
 
@@ -328,7 +471,7 @@ MatrixT<T>
 MatrixT<T>::transpose() const
 {
     MatrixT out(cols_, rows_);
-    kernels::transpose(data_.data(), out.data_.data(), rows_, cols_);
+    transposeInto(out);
     return out;
 }
 
@@ -337,12 +480,8 @@ MatrixT<T>
 MatrixT<T>::block(std::size_t i0, std::size_t j0, std::size_t r,
                   std::size_t c) const
 {
-    if (i0 + r > rows_ || j0 + c > cols_)
-        throw std::out_of_range("Matrix::block: out of range");
     MatrixT out(r, c);
-    for (std::size_t i = 0; i < r; ++i)
-        for (std::size_t j = 0; j < c; ++j)
-            out(i, j) = (*this)(i0 + i, j0 + j);
+    blockInto(i0, j0, r, c, out);
     return out;
 }
 
@@ -529,12 +668,28 @@ maxDifference(const VectorF &a, const VectorF &b)
     return maxDifferenceImpl(a, b);
 }
 
+void
+toFloat(const Vector &v, VectorF &out)
+{
+    out.resize(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] = static_cast<float>(v[i]);
+}
+
+void
+toFloat(const Matrix &m, MatrixF &out)
+{
+    out.resize(m.rows(), m.cols());
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        for (std::size_t j = 0; j < m.cols(); ++j)
+            out(i, j) = static_cast<float>(m(i, j));
+}
+
 VectorF
 toFloat(const Vector &v)
 {
     VectorF out(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] = static_cast<float>(v[i]);
+    toFloat(v, out);
     return out;
 }
 
@@ -542,9 +697,7 @@ MatrixF
 toFloat(const Matrix &m)
 {
     MatrixF out(m.rows(), m.cols());
-    for (std::size_t i = 0; i < m.rows(); ++i)
-        for (std::size_t j = 0; j < m.cols(); ++j)
-            out(i, j) = static_cast<float>(m(i, j));
+    toFloat(m, out);
     return out;
 }
 

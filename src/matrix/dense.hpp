@@ -53,12 +53,34 @@ template <typename T> class VectorT
 
     const std::vector<T> &data() const { return data_; }
 
+    /**
+     * Resize to @p n entries, keeping the buffer when its capacity
+     * suffices (std::vector::resize: kept entries keep their values,
+     * new ones are zero).
+     */
+    void resize(std::size_t n) { data_.resize(n); }
+
+    /** Set every entry to @p value. */
+    void fill(T value);
+
     VectorT operator+(const VectorT &other) const;
     VectorT operator-(const VectorT &other) const;
     VectorT operator-() const;
     VectorT operator*(T scale) const;
     VectorT &operator+=(const VectorT &other);
     VectorT &operator-=(const VectorT &other);
+
+    /**
+     * Destination-passing forms of the operators above: the result
+     * is written into @p out, whose buffer is reused when it has the
+     * capacity, so a warm destination costs no allocation. The
+     * arithmetic is exactly the operator's, and @p out may alias an
+     * operand (every entry is read before it is written).
+     */
+    void addInto(const VectorT &other, VectorT &out) const;
+    void subtractInto(const VectorT &other, VectorT &out) const;
+    void negateInto(VectorT &out) const;
+    void scaleInto(T scale, VectorT &out) const;
 
     /** Dot product; dimensions must agree. */
     T dot(const VectorT &other) const;
@@ -146,6 +168,15 @@ template <typename T> class MatrixT
     /** Row-major backing storage (for the kernels layer). */
     const std::vector<T> &data() const { return data_; }
 
+    /**
+     * Reshape to @p rows by @p cols, keeping the buffer when its
+     * capacity suffices. Entries are unspecified until written.
+     */
+    void resize(std::size_t rows, std::size_t cols);
+
+    /** Set every entry to @p value. */
+    void fill(T value);
+
     MatrixT operator+(const MatrixT &other) const;
     MatrixT operator-(const MatrixT &other) const;
     MatrixT operator-() const;
@@ -156,6 +187,28 @@ template <typename T> class MatrixT
 
     /** Matrix transpose. */
     MatrixT transpose() const;
+
+    /**
+     * Destination-passing forms of the operators above and of
+     * transpose() / block(): the result is written into @p out, whose
+     * buffer is reused when it has the capacity, so a warm
+     * destination costs no allocation. Each runs the operator's
+     * kernel in the operator's accumulation order and counts the
+     * same MACs. The elementwise forms (add, subtract, negate, scale)
+     * allow @p out to alias an operand; the others do not.
+     */
+    void addInto(const MatrixT &other, MatrixT &out) const;
+    void subtractInto(const MatrixT &other, MatrixT &out) const;
+    void negateInto(MatrixT &out) const;
+    void scaleInto(T scale, MatrixT &out) const;
+    void multiplyInto(const MatrixT &other, MatrixT &out) const;
+    void multiplyInto(const VectorT<T> &vec, VectorT<T> &out) const;
+    /** this * column.asColumn(), without building the column matrix. */
+    void multiplyColumnInto(const VectorT<T> &column,
+                            MatrixT &out) const;
+    void transposeInto(MatrixT &out) const;
+    void blockInto(std::size_t i0, std::size_t j0, std::size_t r,
+                   std::size_t c, MatrixT &out) const;
 
     /**
      * this^T * other without materializing the transpose
@@ -252,6 +305,9 @@ float maxDifference(const VectorF &a, const VectorF &b);
 // when narrowing; exact when widening).
 VectorF toFloat(const Vector &v);
 MatrixF toFloat(const Matrix &m);
+/** Narrowing into a reused destination (no allocation when warm). */
+void toFloat(const Vector &v, VectorF &out);
+void toFloat(const Matrix &m, MatrixF &out);
 Vector toDouble(const VectorF &v);
 Matrix toDouble(const MatrixF &m);
 

@@ -13,38 +13,6 @@ using comp::Instruction;
 using hw::CostModel;
 using hw::UnitKind;
 
-/** Adapter exposing engine state to the scheduling policy. */
-struct ExecutionContext::IssueView final : IssueContext
-{
-    const ExecutionContext *ctx;
-    std::size_t count;
-
-    IssueView(const ExecutionContext *c, std::size_t n)
-        : ctx(c), count(n)
-    {
-    }
-
-    std::size_t total() const override { return count; }
-
-    bool
-    dataReady(std::size_t g) const override
-    {
-        return ctx->pending_[g] == 0 && ctx->issued_[g] == 0;
-    }
-
-    bool
-    unitFree(std::size_t g) const override
-    {
-        return !ctx->freeInstances_[ctx->unitKind_[g]].empty();
-    }
-
-    bool
-    completed(std::size_t g) const override
-    {
-        return ctx->done_[g] != 0;
-    }
-};
-
 ExecutionContext::ExecutionContext(const std::vector<hw::WorkItem> &work)
 {
     programs_.reserve(work.size());
@@ -156,20 +124,20 @@ ExecutionContext::buildStatic()
             executors_.emplace_back(
                 std::in_place_type<comp::Executor>, *program);
     }
-
-    outOfOrder_ = makeScheduler(true);
-    inOrder_ = makeScheduler(false);
 }
 
 hw::SimResult
 ExecutionContext::run(const hw::AcceleratorConfig &config)
 {
-    return run(config, config.outOfOrder ? *outOfOrder_ : *inOrder_);
+    if (config.outOfOrder)
+        return runWith(config, outOfOrder_);
+    return runWith(config, inOrder_);
 }
 
+template <typename Policy>
 hw::SimResult
-ExecutionContext::run(const hw::AcceleratorConfig &config,
-                      Scheduler &scheduler)
+ExecutionContext::runWith(const hw::AcceleratorConfig &config,
+                          Policy &scheduler)
 {
     for (unsigned count : config.units)
         if (count == 0)
@@ -187,13 +155,13 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
     pending_.assign(depCount_.begin(), depCount_.end());
     finishCycle_.assign(total, 0);
     issued_.assign(total, 0);
-    done_.assign(total, 0);
     assignedInstance_.assign(total, 0);
     for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
         freeInstances_[k].clear();
         for (unsigned u = 0; u < config.units[k]; ++u)
             freeInstances_[k].push_back(config.units[k] - 1 - u);
     }
+    FreeKinds freeKinds = kAllKindsFree;
     events_.clear();
 
     hw::SimResult result;
@@ -204,9 +172,8 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
     scheduler.reset(total);
     for (std::size_t g = 0; g < total; ++g)
         if (pending_[g] == 0)
-            scheduler.markReady(g);
+            scheduler.markReady(g, static_cast<UnitKind>(unitKind_[g]));
 
-    IssueView view(this, total);
     std::uint64_t now = 0;
     std::size_t issuedCount = 0;
     const double dram = CostModel::dramEnergyPerWordNj * 1e-9;
@@ -219,6 +186,8 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
                 "runtime: scheduler picked an unissuable instruction");
         assignedInstance_[g] = pool.back();
         pool.pop_back();
+        if (pool.empty())
+            freeKinds &= ~(FreeKinds{1} << unitKind_[g]);
         issued_[g] = 1;
         ++issuedCount;
 
@@ -313,13 +282,14 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
     };
 
     auto complete = [&](std::size_t g) {
-        done_[g] = 1;
         freeInstances_[unitKind_[g]].push_back(assignedInstance_[g]);
+        freeKinds |= FreeKinds{1} << unitKind_[g];
         for (std::uint32_t e = dependentsBegin_[g];
              e < dependentsBegin_[g + 1]; ++e) {
             const std::uint32_t user = dependents_[e];
             if (--pending_[user] == 0)
-                scheduler.markReady(user);
+                scheduler.markReady(user,
+                                    static_cast<UnitKind>(unitKind_[user]));
         }
         scheduler.markCompleted(g);
     };
@@ -333,8 +303,8 @@ ExecutionContext::run(const hw::AcceleratorConfig &config,
 
     while (issuedCount < total || !events_.empty()) {
         // Issue as much as the policy allows at the current cycle.
-        for (std::size_t g = scheduler.pick(view); g != kNoInstruction;
-             g = scheduler.pick(view))
+        for (std::size_t g = scheduler.pick(freeKinds);
+             g != kNoInstruction; g = scheduler.pick(freeKinds))
             issue(g);
 
         if (events_.empty()) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -30,12 +29,18 @@ namespace orianna::runtime {
  *     the program's value table;
  *
  * while run() only touches preallocated scratch vectors (pending
- * counts, issue/done flags, unit pools, the completion-event heap), so
- * the steady-state frame loop performs no per-frame rebuild of any of
- * this. Executor slot arenas are kept warm between frames: compiled
- * programs write every slot before reading it (producers precede
- * consumers in the dependence graph), so stale values from the
- * previous frame are never observed.
+ * counts, issue flags, unit pools, the completion-event heap and
+ * the issue policies' ready queues), so the steady-state frame loop
+ * performs no per-frame rebuild of any of this. Executor slot arenas
+ * are kept warm between frames: compiled programs write every slot
+ * before reading it (producers precede consumers in the dependence
+ * graph), and the matrix/vector-unit ops overwrite their destination
+ * buffers in place, so stale values from the previous frame are
+ * never observed and a warm frame allocates only for the
+ * special-function, QR and BSUB results.
+ *
+ * Both issue policies (scheduler.hpp) are held by value; run() picks
+ * one per frame from the config's dispatch mode.
  *
  * Values are rebound per frame (bindValues), which is what lets one
  * context serve successive Gauss-Newton iterations and successive
@@ -71,18 +76,16 @@ class ExecutionContext
 
     /**
      * Run one frame (every program executed once) under @p config with
-     * the context's built-in scheduler for the config's dispatch mode.
+     * the issue policy of the config's dispatch mode.
      */
     hw::SimResult run(const hw::AcceleratorConfig &config);
 
-    /** Same, with a caller-supplied scheduling policy. */
-    hw::SimResult run(const hw::AcceleratorConfig &config,
-                      Scheduler &scheduler);
-
   private:
-    struct IssueView;
-
     void buildStatic();
+
+    template <typename Policy>
+    hw::SimResult runWith(const hw::AcceleratorConfig &config,
+                          Policy &scheduler);
 
     // --- Immutable after construction (per program set) -------------
     std::vector<const comp::Program *> programs_;
@@ -108,8 +111,8 @@ class ExecutionContext
      */
     std::vector<std::variant<comp::Executor, comp::Executor32>>
         executors_;
-    std::unique_ptr<Scheduler> outOfOrder_;
-    std::unique_ptr<Scheduler> inOrder_;
+    OutOfOrderScheduler outOfOrder_;
+    InOrderScheduler inOrder_;
 
     // --- Fault-injection arming (rebound per frame attempt) ----------
     const hw::FaultInjector *faults_ = nullptr;
@@ -120,7 +123,6 @@ class ExecutionContext
     std::vector<std::uint32_t> pending_;
     std::vector<std::uint64_t> finishCycle_;
     std::vector<std::uint8_t> issued_;
-    std::vector<std::uint8_t> done_;
     std::vector<unsigned> assignedInstance_;
     std::array<std::vector<unsigned>, hw::kUnitKindCount> freeInstances_;
     /** Per-(kind, instance) busy cycles, flushed to metrics. */

@@ -1,68 +1,98 @@
 #include "runtime/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 
 namespace orianna::runtime {
 
-void
-OutOfOrderScheduler::reset(std::size_t total)
+namespace {
+
+constexpr std::uint8_t kNotReady = 0xff;
+
+bool
+kindFree(FreeKinds free, std::size_t kind)
 {
-    ready_.clear();
-    if (ready_.capacity() < total)
-        ready_.reserve(total);
+    return ((free >> kind) & 1u) != 0;
+}
+
+} // namespace
+
+void
+OutOfOrderScheduler::reset(std::size_t /*total*/)
+{
+    for (auto &queue : ready_)
+        queue.clear();
+    nonEmpty_ = 0;
 }
 
 void
-OutOfOrderScheduler::markReady(std::size_t g)
+OutOfOrderScheduler::markReady(std::size_t g, hw::UnitKind kind)
 {
-    // Keep the ready list age-sorted so dispatch scans oldest-first,
-    // like a real age-ordered scoreboard. Frame-start ready marks
-    // arrive ascending (O(1) appends); completions insert mid-list.
-    if (ready_.empty() || ready_.back() < g) {
-        ready_.push_back(g);
-        return;
-    }
-    ready_.insert(std::lower_bound(ready_.begin(), ready_.end(), g), g);
+    // Frame-start ready marks arrive ascending, and an ascending array
+    // is already a min-heap, so push_heap does no swaps for them.
+    const auto k = static_cast<std::size_t>(kind);
+    auto &queue = ready_[k];
+    queue.push_back(static_cast<std::uint32_t>(g));
+    std::push_heap(queue.begin(), queue.end(), std::greater<>{});
+    nonEmpty_ |= FreeKinds{1} << k;
 }
 
 std::size_t
-OutOfOrderScheduler::pick(const IssueContext &ctx)
+OutOfOrderScheduler::pick(FreeKinds free)
 {
-    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-        if (ctx.unitFree(*it)) {
-            const std::size_t g = *it;
-            ready_.erase(it);
-            return g;
-        }
+    // Visit only the kinds that have both a free unit and a waiting
+    // instruction; the oldest of their heads issues.
+    FreeKinds candidates = free & nonEmpty_;
+    if (candidates == 0)
+        return kNoInstruction;
+    std::size_t best = std::countr_zero(candidates);
+    for (candidates &= candidates - 1; candidates != 0;
+         candidates &= candidates - 1) {
+        const std::size_t k = std::countr_zero(candidates);
+        if (ready_[k].front() < ready_[best].front())
+            best = k;
     }
-    return kNoInstruction;
+    auto &queue = ready_[best];
+    std::pop_heap(queue.begin(), queue.end(), std::greater<>{});
+    const std::size_t g = queue.back();
+    queue.pop_back();
+    if (queue.empty())
+        nonEmpty_ &= ~(FreeKinds{1} << best);
+    return g;
 }
 
 void
 InOrderScheduler::reset(std::size_t total)
 {
-    (void)total;
+    readyKind_.assign(total, kNotReady);
     next_ = 0;
+    previousDone_ = true;
+}
+
+void
+InOrderScheduler::markReady(std::size_t g, hw::UnitKind kind)
+{
+    readyKind_[g] = static_cast<std::uint8_t>(kind);
+}
+
+void
+InOrderScheduler::markCompleted(std::size_t g)
+{
+    if (g + 1 == next_)
+        previousDone_ = true;
 }
 
 std::size_t
-InOrderScheduler::pick(const IssueContext &ctx)
+InOrderScheduler::pick(FreeKinds free)
 {
-    if (next_ >= ctx.total())
+    if (next_ >= readyKind_.size() || !previousDone_)
         return kNoInstruction;
-    if (next_ > 0 && !ctx.completed(next_ - 1))
+    const std::uint8_t kind = readyKind_[next_];
+    if (kind == kNotReady || !kindFree(free, kind))
         return kNoInstruction;
-    if (!ctx.dataReady(next_) || !ctx.unitFree(next_))
-        return kNoInstruction;
+    previousDone_ = false;
     return next_++;
-}
-
-std::unique_ptr<Scheduler>
-makeScheduler(bool out_of_order)
-{
-    if (out_of_order)
-        return std::make_unique<OutOfOrderScheduler>();
-    return std::make_unique<InOrderScheduler>();
 }
 
 } // namespace orianna::runtime

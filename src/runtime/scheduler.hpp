@@ -1,87 +1,69 @@
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <memory>
-#include <string_view>
+#include <cstdint>
 #include <vector>
+
+#include "hw/cost_model.hpp"
 
 namespace orianna::runtime {
 
-/** Returned by Scheduler::pick when nothing can issue this cycle. */
+/** Returned by pick() when nothing can issue this cycle. */
 constexpr std::size_t kNoInstruction = static_cast<std::size_t>(-1);
 
 /**
- * Engine-side facts a scheduling policy consults while picking
- * instructions. Instructions are identified by their global index in
- * the flattened (work-item-concatenated) program order; lower index
- * means older in program order.
+ * Bit set of unit kinds with at least one free instance: bit k is set
+ * when a unit of kind `hw::UnitKind(k)` is free.
  */
-class IssueContext
-{
-  public:
-    virtual ~IssueContext() = default;
+using FreeKinds = std::uint32_t;
 
-    /** Number of instructions in the frame. */
-    virtual std::size_t total() const = 0;
+static_assert(hw::kUnitKindCount <= 32, "FreeKinds holds one bit per kind");
 
-    /** All producers of @p g have completed. */
-    virtual bool dataReady(std::size_t g) const = 0;
-
-    /** A free instance of @p g's functional-unit kind exists. */
-    virtual bool unitFree(std::size_t g) const = 0;
-
-    /** @p g has finished executing. */
-    virtual bool completed(std::size_t g) const = 0;
-};
+/** FreeKinds with every unit kind free. */
+constexpr FreeKinds kAllKindsFree =
+    static_cast<FreeKinds>((std::uint64_t{1} << hw::kUnitKindCount) - 1);
 
 /**
- * Issue policy of the accelerator controller (Sec. 6.3), extracted
- * from the cycle-level simulation loop so it is pluggable and
- * unit-testable in isolation from the numerics and the cost model.
+ * The two issue policies of the accelerator controller (Sec. 6.3),
+ * kept apart from the cycle-level simulation loop so each is
+ * unit-testable without the numerics or the cost model.
  *
- * Protocol, driven by the execution engine each frame:
+ * Instructions are identified by their global index in the flattened
+ * (work-item-concatenated) program order; a lower index is older.
+ * Protocol, driven by runtime::ExecutionContext each frame:
  *   1. reset(total) once at frame start;
- *   2. markReady(g) whenever an instruction's last producer completes
- *      (and at frame start for instructions with no producers);
- *   3. pick(ctx) repeatedly at each cycle until it returns
- *      kNoInstruction; every returned instruction is issued
- *      unconditionally, so a policy must only return g with
- *      ctx.dataReady(g) && ctx.unitFree(g);
+ *   2. markReady(g, kind) when g's last producer completes (and at
+ *      frame start for instructions without producers);
+ *   3. pick(free) repeatedly at each cycle until it returns
+ *      kNoInstruction, with @p free recomputed after every issue;
+ *      a returned instruction is issued unconditionally;
  *   4. markCompleted(g) when an instruction retires.
  */
-class Scheduler
-{
-  public:
-    virtual ~Scheduler() = default;
-
-    virtual std::string_view name() const = 0;
-
-    virtual void reset(std::size_t total) = 0;
-
-    virtual void markReady(std::size_t g) = 0;
-
-    virtual void markCompleted(std::size_t g) = 0;
-
-    virtual std::size_t pick(const IssueContext &ctx) = 0;
-};
 
 /**
  * Age-ordered scoreboard (ORIANNA-OoO): any data-ready instruction may
- * issue to any free unit of the right kind, oldest first — fine-grained
- * OoO inside an algorithm and coarse-grained OoO across work items.
+ * issue to any free unit of its kind, oldest first — fine-grained OoO
+ * inside an algorithm and coarse-grained OoO across work items.
+ *
+ * One ready queue per unit kind, each a min-heap on the global index
+ * whose storage is reused across frames. The oldest data-ready
+ * instruction with a free unit is the smallest head among the kinds
+ * with a free instance, so pick() costs O(kinds) instead of a scan of
+ * the whole ready list.
  */
-class OutOfOrderScheduler final : public Scheduler
+class OutOfOrderScheduler
 {
   public:
-    std::string_view name() const override { return "out-of-order"; }
-    void reset(std::size_t total) override;
-    void markReady(std::size_t g) override;
-    void markCompleted(std::size_t /*g*/) override {}
-    std::size_t pick(const IssueContext &ctx) override;
+    void reset(std::size_t total);
+    void markReady(std::size_t g, hw::UnitKind kind);
+    void markCompleted(std::size_t /*g*/) {}
+    std::size_t pick(FreeKinds free);
 
   private:
-    /** Data-ready, unissued instructions, kept sorted by age. */
-    std::vector<std::size_t> ready_;
+    std::array<std::vector<std::uint32_t>, hw::kUnitKindCount> ready_;
+    /** Kinds whose ready queue is non-empty (same bit layout). */
+    FreeKinds nonEmpty_ = 0;
 };
 
 /**
@@ -89,20 +71,19 @@ class OutOfOrderScheduler final : public Scheduler
  * program order issues only after the previous one has *completed* —
  * no dispatch window at all.
  */
-class InOrderScheduler final : public Scheduler
+class InOrderScheduler
 {
   public:
-    std::string_view name() const override { return "in-order"; }
-    void reset(std::size_t total) override;
-    void markReady(std::size_t /*g*/) override {}
-    void markCompleted(std::size_t /*g*/) override {}
-    std::size_t pick(const IssueContext &ctx) override;
+    void reset(std::size_t total);
+    void markReady(std::size_t g, hw::UnitKind kind);
+    void markCompleted(std::size_t g);
+    std::size_t pick(FreeKinds free);
 
   private:
+    /** Unit kind of each data-ready instruction, kNotReady otherwise. */
+    std::vector<std::uint8_t> readyKind_;
     std::size_t next_ = 0;
+    bool previousDone_ = true;
 };
-
-/** Policy for an accelerator config's dispatch mode. */
-std::unique_ptr<Scheduler> makeScheduler(bool out_of_order);
 
 } // namespace orianna::runtime

@@ -1,6 +1,8 @@
 // Tests for the binary program encoding: round-trip fidelity and
 // functional equivalence of decoded programs.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "compiler/codegen.hpp"
@@ -147,6 +149,37 @@ TEST(Encoding, CorruptInputsRejected)
     auto padded = bytes;
     padded.push_back(0);
     EXPECT_THROW(comp::decodeProgram(padded), std::runtime_error);
+}
+
+// The interpreter writes results into the destination slot in place,
+// so a decoded program whose instruction reads its own destination,
+// or names a slot outside the table, is rejected.
+TEST(Encoding, NonSsaAndOutOfRangeSlotsRejected)
+{
+    std::mt19937 rng(65);
+    Values values;
+    FactorGraph graph = richGraph(values, rng);
+    const Program program = comp::compileGraph(graph, values);
+    EXPECT_NO_THROW(comp::decodeProgram(comp::encodeProgram(program)));
+
+    const auto reader = std::find_if(
+        program.instructions.begin(), program.instructions.end(),
+        [](const comp::Instruction &inst) {
+            return inst.op != comp::IsaOp::STORE && !inst.srcs.empty();
+        });
+    ASSERT_NE(reader, program.instructions.end());
+    const std::size_t index = reader - program.instructions.begin();
+
+    Program self_read = program;
+    self_read.instructions[index].dst = reader->srcs[0];
+    EXPECT_THROW(comp::decodeProgram(comp::encodeProgram(self_read)),
+                 std::runtime_error);
+
+    Program out_of_range = program;
+    out_of_range.instructions[index].srcs[0] =
+        static_cast<std::uint32_t>(program.valueSlots);
+    EXPECT_THROW(comp::decodeProgram(comp::encodeProgram(out_of_range)),
+                 std::runtime_error);
 }
 
 } // namespace

@@ -2,7 +2,11 @@
 // reference numerical equivalence, execution-context reuse, and the
 // Engine/Session serving API.
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
+#include <functional>
+#include <random>
 #include <stdexcept>
 #include <thread>
 
@@ -20,23 +24,146 @@ using namespace orianna;
 
 namespace {
 
-/** Scriptable engine state for driving schedulers standalone. */
-struct FakeIssueContext final : runtime::IssueContext
-{
-    std::vector<bool> ready;
-    std::vector<bool> freeUnit;
-    std::vector<bool> done;
+using hw::UnitKind;
 
-    explicit FakeIssueContext(std::size_t n)
-        : ready(n, true), freeUnit(n, true), done(n, false)
+/** FreeKinds with every kind free except @p busy. */
+runtime::FreeKinds
+allFreeBut(UnitKind busy)
+{
+    return runtime::kAllKindsFree &
+           ~(runtime::FreeKinds{1} << static_cast<unsigned>(busy));
+}
+
+/**
+ * The out-of-order picker as it was before per-kind ready queues: one
+ * age-sorted ready list, scanned oldest first for an instruction
+ * whose unit kind has a free instance. The oracle for the property
+ * test below.
+ */
+struct LinearScanScheduler
+{
+    const std::vector<UnitKind> *kinds;
+    std::vector<std::size_t> ready;
+
+    void reset(std::size_t /*total*/) { ready.clear(); }
+
+    void
+    markReady(std::size_t g, UnitKind /*kind*/)
     {
+        ready.insert(std::lower_bound(ready.begin(), ready.end(), g), g);
     }
 
-    std::size_t total() const override { return ready.size(); }
-    bool dataReady(std::size_t g) const override { return ready[g]; }
-    bool unitFree(std::size_t g) const override { return freeUnit[g]; }
-    bool completed(std::size_t g) const override { return done[g]; }
+    void markCompleted(std::size_t /*g*/) {}
+
+    std::size_t
+    pick(runtime::FreeKinds free)
+    {
+        for (auto it = ready.begin(); it != ready.end(); ++it) {
+            const auto kind = static_cast<unsigned>((*kinds)[*it]);
+            if ((free >> kind) & 1u) {
+                const std::size_t g = *it;
+                ready.erase(it);
+                return g;
+            }
+        }
+        return runtime::kNoInstruction;
+    }
 };
+
+/** A random dependence graph with per-instruction kinds and latencies. */
+struct RandomDag
+{
+    std::vector<std::vector<std::size_t>> deps;
+    std::vector<UnitKind> kinds;
+    std::vector<std::uint64_t> latency;
+    std::array<unsigned, hw::kUnitKindCount> units{};
+};
+
+RandomDag
+randomDag(std::uint32_t seed)
+{
+    std::mt19937 rng(seed);
+    auto uniform = [&](std::size_t lo, std::size_t hi) {
+        return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+    };
+    RandomDag dag;
+    const std::size_t n = uniform(1, 80);
+    for (std::size_t g = 0; g < n; ++g) {
+        std::vector<std::size_t> deps;
+        if (g > 0)
+            for (std::size_t d = uniform(0, 3); d > 0; --d)
+                deps.push_back(uniform(0, g - 1));
+        std::sort(deps.begin(), deps.end());
+        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+        dag.deps.push_back(std::move(deps));
+        dag.kinds.push_back(
+            static_cast<UnitKind>(uniform(0, hw::kUnitKindCount - 1)));
+        dag.latency.push_back(uniform(1, 40));
+    }
+    for (unsigned &count : dag.units)
+        count = static_cast<unsigned>(uniform(1, 3));
+    return dag;
+}
+
+/**
+ * Issue sequence (cycle, instruction) of @p dag under @p scheduler,
+ * driven by the same event loop as ExecutionContext::run: issue all
+ * the policy allows at the current cycle, then advance to the next
+ * completion and retire everything finishing then.
+ */
+template <typename Scheduler>
+std::vector<std::pair<std::uint64_t, std::size_t>>
+issueSequence(const RandomDag &dag, Scheduler &scheduler)
+{
+    const std::size_t n = dag.kinds.size();
+    std::vector<std::size_t> pending(n);
+    std::vector<std::vector<std::size_t>> users(n);
+    for (std::size_t g = 0; g < n; ++g) {
+        pending[g] = dag.deps[g].size();
+        for (std::size_t d : dag.deps[g])
+            users[d].push_back(g);
+    }
+    std::array<unsigned, hw::kUnitKindCount> idle = dag.units;
+    auto freeKinds = [&] {
+        runtime::FreeKinds free = 0;
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k)
+            if (idle[k] > 0)
+                free |= runtime::FreeKinds{1} << k;
+        return free;
+    };
+    scheduler.reset(n);
+    for (std::size_t g = 0; g < n; ++g)
+        if (pending[g] == 0)
+            scheduler.markReady(g, dag.kinds[g]);
+
+    std::vector<std::pair<std::uint64_t, std::size_t>> issued;
+    std::vector<std::pair<std::uint64_t, std::size_t>> events;
+    std::uint64_t now = 0;
+    while (issued.size() < n || !events.empty()) {
+        for (std::size_t g = scheduler.pick(freeKinds());
+             g != runtime::kNoInstruction;
+             g = scheduler.pick(freeKinds())) {
+            --idle[static_cast<std::size_t>(dag.kinds[g])];
+            issued.emplace_back(now, g);
+            events.emplace_back(now + dag.latency[g], g);
+            std::push_heap(events.begin(), events.end(), std::greater<>{});
+        }
+        if (events.empty())
+            break;
+        now = events.front().first;
+        while (!events.empty() && events.front().first == now) {
+            std::pop_heap(events.begin(), events.end(), std::greater<>{});
+            const std::size_t g = events.back().second;
+            events.pop_back();
+            ++idle[static_cast<std::size_t>(dag.kinds[g])];
+            for (std::size_t user : users[g])
+                if (--pending[user] == 0)
+                    scheduler.markReady(user, dag.kinds[user]);
+            scheduler.markCompleted(g);
+        }
+    }
+    return issued;
+}
 
 void
 expectSameDeltas(const std::map<fg::Key, mat::Vector> &got,
@@ -97,77 +224,99 @@ chainInitial(const std::vector<lie::Pose> &truth, double perturb)
 TEST(Scheduler, OutOfOrderIssuesOldestReadyFirst)
 {
     runtime::OutOfOrderScheduler scheduler;
-    FakeIssueContext ctx(4);
     scheduler.reset(4);
 
-    // Ready marks arrive out of age order; issue order must not.
-    scheduler.markReady(2);
-    scheduler.markReady(0);
-    scheduler.markReady(3);
-    EXPECT_EQ(scheduler.pick(ctx), 0u);
-    EXPECT_EQ(scheduler.pick(ctx), 2u);
-    EXPECT_EQ(scheduler.pick(ctx), 3u);
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
+    // Ready marks arrive out of age order and across unit kinds;
+    // issue order must not.
+    scheduler.markReady(2, UnitKind::VectorAlu);
+    scheduler.markReady(0, UnitKind::MatMul);
+    scheduler.markReady(3, UnitKind::MatMul);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 0u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 2u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 3u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree),
+              runtime::kNoInstruction);
 }
 
 TEST(Scheduler, OutOfOrderSkipsInstructionsWithoutAFreeUnit)
 {
     runtime::OutOfOrderScheduler scheduler;
-    FakeIssueContext ctx(3);
     scheduler.reset(3);
-    scheduler.markReady(0);
-    scheduler.markReady(1);
-    scheduler.markReady(2);
+    scheduler.markReady(0, UnitKind::MatMul);
+    scheduler.markReady(1, UnitKind::VectorAlu);
+    scheduler.markReady(2, UnitKind::Qr);
 
     // The oldest ready instruction stalls on its unit; younger ones
     // with free units overtake it (that is the point of OoO).
-    ctx.freeUnit[0] = false;
-    EXPECT_EQ(scheduler.pick(ctx), 1u);
-    EXPECT_EQ(scheduler.pick(ctx), 2u);
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
-    ctx.freeUnit[0] = true;
-    EXPECT_EQ(scheduler.pick(ctx), 0u);
+    const runtime::FreeKinds matmul_busy = allFreeBut(UnitKind::MatMul);
+    EXPECT_EQ(scheduler.pick(matmul_busy), 1u);
+    EXPECT_EQ(scheduler.pick(matmul_busy), 2u);
+    EXPECT_EQ(scheduler.pick(matmul_busy), runtime::kNoInstruction);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 0u);
 }
 
 TEST(Scheduler, InOrderBlocksUntilThePreviousInstructionCompletes)
 {
     runtime::InOrderScheduler scheduler;
-    FakeIssueContext ctx(3);
     scheduler.reset(3);
+    scheduler.markReady(0, UnitKind::MatMul);
+    scheduler.markReady(1, UnitKind::MatMul);
 
-    EXPECT_EQ(scheduler.pick(ctx), 0u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 0u);
     // No dispatch window: 1 must wait for 0 to *complete*, not just
     // issue.
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
-    ctx.done[0] = true;
-    EXPECT_EQ(scheduler.pick(ctx), 1u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree),
+              runtime::kNoInstruction);
+    scheduler.markCompleted(0);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 1u);
 
-    ctx.done[1] = true;
-    ctx.ready[2] = false;
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
-    ctx.ready[2] = true;
-    ctx.freeUnit[2] = false;
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
-    ctx.freeUnit[2] = true;
-    EXPECT_EQ(scheduler.pick(ctx), 2u);
-    EXPECT_EQ(scheduler.pick(ctx), runtime::kNoInstruction);
+    // 2 is not data-ready yet, then its unit is busy.
+    scheduler.markCompleted(1);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree),
+              runtime::kNoInstruction);
+    scheduler.markReady(2, UnitKind::Special);
+    EXPECT_EQ(scheduler.pick(allFreeBut(UnitKind::Special)),
+              runtime::kNoInstruction);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree), 2u);
+    EXPECT_EQ(scheduler.pick(runtime::kAllKindsFree),
+              runtime::kNoInstruction);
 }
 
 TEST(Scheduler, ResetRestartsAFrame)
 {
     runtime::InOrderScheduler in_order;
     runtime::OutOfOrderScheduler out_of_order;
-    FakeIssueContext ctx(2);
 
     in_order.reset(2);
-    EXPECT_EQ(in_order.pick(ctx), 0u);
+    in_order.markReady(0, UnitKind::Dma);
+    EXPECT_EQ(in_order.pick(runtime::kAllKindsFree), 0u);
     in_order.reset(2);
-    EXPECT_EQ(in_order.pick(ctx), 0u);
+    in_order.markReady(0, UnitKind::Dma);
+    EXPECT_EQ(in_order.pick(runtime::kAllKindsFree), 0u);
 
     out_of_order.reset(2);
-    out_of_order.markReady(1);
+    out_of_order.markReady(1, UnitKind::Dma);
     out_of_order.reset(2);
-    EXPECT_EQ(out_of_order.pick(ctx), runtime::kNoInstruction);
+    EXPECT_EQ(out_of_order.pick(runtime::kAllKindsFree),
+              runtime::kNoInstruction);
+}
+
+// The per-kind ready queues must pick exactly what the linear scan of
+// one age-sorted ready list picks, on random DAGs with replicated
+// units and random latencies — the schedule-identity argument made
+// executable.
+TEST(Scheduler, PerKindQueuesIssueLikeTheLinearScan)
+{
+    runtime::OutOfOrderScheduler per_kind;
+    for (std::uint32_t seed = 1; seed <= 300; ++seed) {
+        const RandomDag dag = randomDag(seed);
+        LinearScanScheduler scan{&dag.kinds, {}};
+        const auto want = issueSequence(dag, scan);
+        // One scheduler across all seeds: queue storage is reused.
+        const auto got = issueSequence(dag, per_kind);
+        ASSERT_EQ(want.size(), dag.kinds.size()) << "seed " << seed;
+        ASSERT_EQ(got, want) << "seed " << seed;
+    }
 }
 
 // --- Schedule / reference equivalence -------------------------------
@@ -268,6 +417,67 @@ TEST(ExecutionContext, ReusedContextMatchesFreshSimulatePerFrame)
         EXPECT_EQ(frame2.staticEnergyJ, fresh2.staticEnergyJ);
         for (std::size_t w = 0; w < work2.size(); ++w)
             expectSameDeltas(frame2.deltas[w], fresh2.deltas[w]);
+    }
+}
+
+// Warm slot arenas are overwritten in place, so a frame must not see
+// anything an earlier frame left behind — not a poisoned (NaN) slot
+// from a corrupt-everything fault frame, not another frame's Values.
+TEST(ExecutionContext, WarmSlotsCarryNothingAcrossFrames)
+{
+    const hw::FaultInjector corrupt_all(
+        hw::FaultPlan::parse("corrupt:all:1"));
+    for (apps::AppKind kind : apps::allApps()) {
+        for (const comp::Precision precision :
+             {comp::Precision::Fp64, comp::Precision::Fp32}) {
+            apps::BenchmarkApp bench = apps::buildApp(kind, /*seed=*/5);
+            bench.app.compile(precision);
+            const auto work = bench.app.frameWork();
+            for (const bool out_of_order : {true, false}) {
+                SCOPED_TRACE(std::string(apps::appName(kind)) +
+                             (precision == comp::Precision::Fp32
+                                  ? " fp32"
+                                  : " fp64") +
+                             (out_of_order ? " OoO" : " IO"));
+                const auto config =
+                    hw::AcceleratorConfig::minimal(out_of_order);
+                const hw::SimResult want =
+                    runtime::ExecutionContext(work).run(config);
+
+                std::vector<fg::Values> other;
+                for (std::size_t w = 0; w < work.size(); ++w) {
+                    other.push_back(*work[w].values);
+                    other.back().retractAll(want.deltas[w]);
+                }
+
+                runtime::ExecutionContext context(work);
+                context.armFaults(&corrupt_all, 0, 0);
+                EXPECT_GT(context.run(config).faultsInjected, 0u);
+                context.armFaults(nullptr, 0, 0);
+                for (std::size_t w = 0; w < work.size(); ++w)
+                    context.bindValues(w, &other[w]);
+                context.run(config);
+                for (std::size_t w = 0; w < work.size(); ++w)
+                    context.bindValues(w, work[w].values);
+                const hw::SimResult got = context.run(config);
+
+                EXPECT_EQ(got.cycles, want.cycles);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got.totalEnergyJ()),
+                          std::bit_cast<std::uint64_t>(want.totalEnergyJ()));
+                ASSERT_EQ(got.deltas.size(), want.deltas.size());
+                for (std::size_t w = 0; w < want.deltas.size(); ++w) {
+                    ASSERT_EQ(got.deltas[w].size(), want.deltas[w].size());
+                    for (const auto &[key, delta] : want.deltas[w]) {
+                        const mat::Vector &mine = got.deltas[w].at(key);
+                        ASSERT_EQ(mine.size(), delta.size());
+                        for (std::size_t i = 0; i < delta.size(); ++i)
+                            EXPECT_EQ(std::bit_cast<std::uint64_t>(mine[i]),
+                                      std::bit_cast<std::uint64_t>(delta[i]))
+                                << "item " << w << " key " << key;
+                    }
+                }
+            }
+        }
     }
 }
 
