@@ -9,57 +9,6 @@ namespace orianna::runtime {
 
 namespace {
 
-/**
- * Translate a smoother schedule into the shape-only UpdateSpec the
- * compiler fingerprints and compiles. Variables become suffix
- * positions; the per-row block order is the LinearRow's own map
- * (key) order, which is also the order the streamed Values are built
- * in, so spec and stream always agree.
- */
-comp::UpdateSpec
-specFromSchedule(const fg::SuffixSchedule &schedule,
-                 const std::vector<const fg::LinearRow *> &rows)
-{
-    std::map<fg::Key, std::uint32_t> position;
-    for (std::size_t i = 0; i < schedule.variables.size(); ++i)
-        position[schedule.variables[i]] =
-            static_cast<std::uint32_t>(i);
-
-    comp::UpdateSpec spec;
-    spec.dofs.reserve(schedule.dofs.size());
-    for (std::size_t d : schedule.dofs)
-        spec.dofs.push_back(static_cast<std::uint32_t>(d));
-
-    spec.rows.reserve(rows.size());
-    for (const fg::LinearRow *row : rows) {
-        comp::UpdateSpec::Row r;
-        r.dim = static_cast<std::uint32_t>(row->rhs.size());
-        for (const auto &[key, block] : row->blocks) {
-            auto it = position.find(key);
-            if (it == position.end())
-                throw std::logic_error(
-                    "AcceleratedSmoother: input row references a "
-                    "variable outside the suffix");
-            r.blocks.push_back(it->second);
-        }
-        spec.rows.push_back(std::move(r));
-    }
-
-    spec.steps.reserve(schedule.steps.size());
-    for (const fg::SuffixSchedule::Step &step : schedule.steps) {
-        comp::UpdateSpec::Step s;
-        s.rowRefs.reserve(step.rowRefs.size());
-        for (std::size_t ref : step.rowRefs)
-            s.rowRefs.push_back(static_cast<std::uint32_t>(ref));
-        s.columns.reserve(step.columns.size());
-        for (fg::Key key : step.columns)
-            s.columns.push_back(position.at(key));
-        s.kept = static_cast<std::uint32_t>(step.kept);
-        spec.steps.push_back(std::move(s));
-    }
-    return spec;
-}
-
 /** The frame's numbers, bound to the layout's synthetic LOADV keys. */
 fg::Values
 streamInputs(const comp::UpdateLayout &layout,
@@ -152,6 +101,50 @@ unpackFrame(const std::map<fg::Key, mat::Vector> &out,
 }
 
 } // namespace
+
+comp::UpdateSpec
+specFromSchedule(const fg::SuffixSchedule &schedule,
+                 const std::vector<const fg::LinearRow *> &rows)
+{
+    std::map<fg::Key, std::uint32_t> position;
+    for (std::size_t i = 0; i < schedule.variables.size(); ++i)
+        position[schedule.variables[i]] =
+            static_cast<std::uint32_t>(i);
+
+    comp::UpdateSpec spec;
+    spec.dofs.reserve(schedule.dofs.size());
+    for (std::size_t d : schedule.dofs)
+        spec.dofs.push_back(static_cast<std::uint32_t>(d));
+
+    spec.rows.reserve(rows.size());
+    for (const fg::LinearRow *row : rows) {
+        comp::UpdateSpec::Row r;
+        r.dim = static_cast<std::uint32_t>(row->rhs.size());
+        for (const auto &[key, block] : row->blocks) {
+            auto it = position.find(key);
+            if (it == position.end())
+                throw std::logic_error(
+                    "AcceleratedSmoother: input row references a "
+                    "variable outside the suffix");
+            r.blocks.push_back(it->second);
+        }
+        spec.rows.push_back(std::move(r));
+    }
+
+    spec.steps.reserve(schedule.steps.size());
+    for (const fg::SuffixSchedule::Step &step : schedule.steps) {
+        comp::UpdateSpec::Step s;
+        s.rowRefs.reserve(step.rowRefs.size());
+        for (std::size_t ref : step.rowRefs)
+            s.rowRefs.push_back(static_cast<std::uint32_t>(ref));
+        s.columns.reserve(step.columns.size());
+        for (fg::Key key : step.columns)
+            s.columns.push_back(position.at(key));
+        s.kept = static_cast<std::uint32_t>(step.kept);
+        spec.steps.push_back(std::move(s));
+    }
+    return spec;
+}
 
 AcceleratedSmoother::AcceleratedSmoother(
     Engine &engine, AcceleratedSmootherOptions options)

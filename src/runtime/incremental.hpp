@@ -49,6 +49,17 @@ struct AcceleratedSmootherStats
 };
 
 /**
+ * Translate a smoother schedule into the shape-only UpdateSpec the
+ * compiler fingerprints and compiles. Variables become suffix
+ * positions; the per-row block order is the LinearRow's own map
+ * (key) order, which is also the order the streamed Values are built
+ * in, so spec and stream always agree.
+ */
+comp::UpdateSpec
+specFromSchedule(const fg::SuffixSchedule &schedule,
+                 const std::vector<const fg::LinearRow *> &rows);
+
+/**
  * Incremental smoothing on the accelerator (DESIGN.md §13): an
  * fg::IncrementalSmoother whose suffix re-eliminations execute as
  * compiled update programs through the Engine. The smoother owns the

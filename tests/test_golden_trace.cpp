@@ -11,7 +11,6 @@
 //   ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace
 
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "matrix/simd.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/server_pool.hpp"
+#include "test_golden.hpp"
 
 namespace {
 
@@ -100,22 +100,7 @@ TEST(GoldenTrace, MobileRobotScheduleMatchesCheckedInDigest)
     const GoldenSetup setup = makeSetup();
     const std::string digest = scheduleDigest(setup.work, setup.config);
 
-    if (std::getenv("ORIANNA_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(kGoldenPath);
-        out << digest;
-        ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
-        GTEST_SKIP() << "regenerated " << kGoldenPath;
-    }
-
-    std::ifstream in(kGoldenPath);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << kGoldenPath
-        << " (regenerate with ORIANNA_REGEN_GOLDEN=1)";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(digest, golden.str())
-        << "the mobile_robot schedule moved; if intentional, "
-           "regenerate with ORIANNA_REGEN_GOLDEN=1 ./test_golden_trace";
+    test::expectMatchesGolden(kGoldenPath, digest);
 }
 
 TEST(GoldenTrace, ScalarKernelTierReproducesDigestByteIdentically)
@@ -134,12 +119,8 @@ TEST(GoldenTrace, ScalarKernelTierReproducesDigestByteIdentically)
         GTEST_SKIP() << "regenerating; covered by the test above";
 
     const GoldenSetup setup = makeSetup();
-    const std::string digest = scheduleDigest(setup.work, setup.config);
-    std::ifstream in(kGoldenPath);
-    ASSERT_TRUE(in.good()) << "missing golden file " << kGoldenPath;
-    std::stringstream golden;
-    golden << in.rdbuf();
-    EXPECT_EQ(digest, golden.str());
+    test::expectMatchesGolden(kGoldenPath,
+                              scheduleDigest(setup.work, setup.config));
 }
 
 TEST(GoldenTrace, DigestIsStableAcrossRunsAndThreadCounts)
