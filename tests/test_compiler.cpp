@@ -8,6 +8,7 @@
 
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
+#include "compiler/incremental_codegen.hpp"
 #include "fg/eliminate.hpp"
 #include "fg/factors.hpp"
 #include "fg/optimizer.hpp"
@@ -314,6 +315,49 @@ TEST(Program, MissingVariableThrows)
     options.ordering = {1, 2}; // Key 2 does not exist in the graph.
     EXPECT_THROW(comp::compileGraph(graph, values, options),
                  std::runtime_error);
+}
+
+TEST(Program, OrderingThatOmitsAFactorVariableThrows)
+{
+    // Key 1 is touched by two between factors but never ordered: both
+    // compilers reject the ordering up front, naming the key.
+    std::mt19937 rng(34);
+    Values values;
+    FactorGraph graph = chainGraph(3, 2, values, rng);
+    comp::CompileOptions options;
+    options.ordering = {0, 2};
+    for (auto compile : {&comp::compileGraph, &comp::compileDenseGraph}) {
+        try {
+            compile(graph, values, options);
+            ADD_FAILURE() << "ordering without key 1 compiled";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("variable 1 "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Program, MalformedUpdateScheduleThrows)
+{
+    // One 2-dof variable fed by one 2-row input row.
+    comp::UpdateSpec spec;
+    spec.dofs = {2};
+    spec.rows = {{2, {0}}};
+    spec.steps = {{{0}, {0}, 0}};
+    EXPECT_NO_THROW(comp::compileUpdate(spec));
+
+    comp::UpdateSpec bad_ref = spec;
+    bad_ref.steps[0].rowRefs = {1}; // No such row or carry.
+    EXPECT_THROW(comp::compileUpdate(bad_ref), std::invalid_argument);
+
+    comp::UpdateSpec bad_column = spec;
+    bad_column.steps[0].columns = {0, 0}; // Separator not later.
+    EXPECT_THROW(comp::compileUpdate(bad_column), std::invalid_argument);
+
+    comp::UpdateSpec bad_kept = spec;
+    bad_kept.steps[0].kept = 1; // R has no rows below the conditional.
+    EXPECT_THROW(comp::compileUpdate(bad_kept), std::invalid_argument);
 }
 
 TEST(Program, Fig11LevelParallelism)
