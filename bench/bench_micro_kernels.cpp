@@ -13,7 +13,7 @@
 //                   fail (exit 1) unless every gemm shape with
 //                   n >= 64 — fp64 and fp32 rows alike — reaches at
 //                   least X times its own scalar GFLOP/s. Hosts
-//                   without AVX2 (scalar or NEON detected) print a
+//                   without AVX2 (scalar detected) print a
 //                   note and exit 0, so the gate is safe to run on
 //                   any runner.
 //

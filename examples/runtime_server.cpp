@@ -52,7 +52,7 @@ usage(const char *argv0)
         "  --cache-dir DIR    arm the persistent program store in "
         "DIR (created if absent)\n"
         "  --no-store         ignore --cache-dir; serve memory-only\n"
-        "  --simd TIER        kernel tier: scalar, avx2, neon or "
+        "  --simd TIER        kernel tier: scalar, avx2 or "
         "auto (overrides ORIANNA_SIMD)\n"
         "  --precision P      accelerator datapath: fp64 or fp32 "
         "(default: ORIANNA_PRECISION, else fp64); fp32 provisions "

@@ -12,8 +12,8 @@ namespace orianna::mat::kernels {
  *
  * Since the SIMD layer (simd.hpp, DESIGN.md §10) every entry point
  * here is a dispatcher: it counts the call and forwards to the active
- * KernelTable, selected once at startup (scalar reference, AVX2,
- * NEON, ... — ORIANNA_SIMD overrides). Under the scalar table each
+ * KernelTable, selected once at startup (scalar reference or AVX2 —
+ * ORIANNA_SIMD overrides). Under the scalar table each
  * output element is a single dependency chain over ascending inner
  * index, bit-identical to the naive reference loops — the property
  * the runtime relies on for byte-identical schedules and deltas.

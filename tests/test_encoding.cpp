@@ -2,6 +2,7 @@
 // functional equivalence of decoded programs.
 
 #include <algorithm>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +181,106 @@ TEST(Encoding, NonSsaAndOutOfRangeSlotsRejected)
         static_cast<std::uint32_t>(program.valueSlots);
     EXPECT_THROW(comp::decodeProgram(comp::encodeProgram(out_of_range)),
                  std::runtime_error);
+}
+
+/** The rich-graph program: the base every rejection case edits. */
+Program
+richProgram(unsigned seed)
+{
+    std::mt19937 rng(seed);
+    Values values;
+    const FactorGraph graph = richGraph(values, rng);
+    Program program = comp::compileGraph(graph, values);
+    EXPECT_NO_THROW(comp::decodeProgram(comp::encodeProgram(program)));
+    return program;
+}
+
+/** Index of the first instruction with opcode @p op. */
+std::size_t
+firstOf(const Program &program, comp::IsaOp op)
+{
+    const auto it = std::find_if(
+        program.instructions.begin(), program.instructions.end(),
+        [op](const comp::Instruction &inst) { return inst.op == op; });
+    EXPECT_NE(it, program.instructions.end());
+    return it - program.instructions.begin();
+}
+
+void
+expectRejected(const Program &program)
+{
+    EXPECT_THROW(comp::decodeProgram(comp::encodeProgram(program)),
+                 std::runtime_error);
+}
+
+// A dep must name an earlier instruction: the scheduler indexes its
+// dependents by dep, and a forward dep would never be satisfied.
+TEST(Encoding, DepThatIsNotAnEarlierInstructionRejected)
+{
+    const Program program = richProgram(66);
+    const std::size_t qr = firstOf(program, comp::IsaOp::QR);
+    for (std::uint32_t dep : {static_cast<std::uint32_t>(qr),
+                              static_cast<std::uint32_t>(qr + 1),
+                              0xffffffffu}) {
+        Program bad = program;
+        bad.instructions[qr].deps.push_back(dep);
+        expectRejected(bad);
+    }
+}
+
+// Sources and gather placements must name slots an earlier
+// instruction wrote.
+TEST(Encoding, SlotNotWrittenByAnEarlierInstructionRejected)
+{
+    const Program program = richProgram(67);
+    const std::size_t qr = firstOf(program, comp::IsaOp::QR);
+    const std::uint32_t later = program.instructions[qr + 1].dst;
+
+    Program bad_src = program;
+    bad_src.instructions[qr].srcs[0] = later;
+    expectRejected(bad_src);
+
+    const std::size_t gather = qr - 1;
+    ASSERT_EQ(program.instructions[gather].op, comp::IsaOp::GATHER);
+    Program bad_placement = program;
+    bad_placement.instructions[gather].placements[0].src = later;
+    expectRejected(bad_placement);
+}
+
+TEST(Encoding, DeltaBindingOutsideTheSlotTableRejected)
+{
+    Program bad = richProgram(68);
+    ASSERT_FALSE(bad.deltas.empty());
+    bad.deltas[0].slot = static_cast<std::uint32_t>(bad.valueSlots);
+    expectRejected(bad);
+}
+
+// Every slot has its own producer, so a slot table larger than the
+// instruction count is forged — and would size the executor's slots.
+TEST(Encoding, MoreSlotsThanInstructionsRejected)
+{
+    Program bad = richProgram(69);
+    bad.valueSlots = bad.instructions.size() + 1;
+    expectRejected(bad);
+}
+
+// The instruction count is checked against the remaining bytes before
+// it sizes anything, so a forged count fails cleanly instead of
+// reserving gigabytes.
+TEST(Encoding, InstructionCountBeyondTheInputRejected)
+{
+    const Program program = richProgram(70);
+    auto bytes = comp::encodeProgram(program);
+    // Header: magic, version, name, algorithm, precision, slot count,
+    // delta bindings (key + slot each), then the instruction count.
+    const std::size_t count_at = 4 + 4 + 4 + program.name.size() + 1 +
+                                 1 + 8 + 4 + program.deltas.size() * 12;
+    std::uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + count_at, sizeof count);
+    ASSERT_EQ(count, program.instructions.size());
+    count = 0xfffffff0u;
+    std::memcpy(bytes.data() + count_at, &count, sizeof count);
+    EXPECT_THROW(comp::decodeProgram(bytes), std::runtime_error);
 }
 
 } // namespace

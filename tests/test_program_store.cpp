@@ -13,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/benchmark_apps.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/encoding.hpp"
 #include "compiler/executor.hpp"
+#include "compiler/incremental_codegen.hpp"
 #include "fg/factors.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/execution_context.hpp"
 #include "runtime/program_store.hpp"
 #include "test_fg_common.hpp"
 
@@ -211,6 +214,94 @@ TEST(EncodingFuzz, PrecisionTagRoundTripsAndRejectsBadValues)
 
 // --- Store round trip and validation ladder -------------------------
 
+/** One program with the values a frame of it reads. */
+struct Workload
+{
+    Program program;
+    Values values;
+};
+
+/**
+ * Every benchmark application's algorithm programs, plus one update
+ * program with its streamed inputs bound: the mutation corpus.
+ */
+std::vector<Workload>
+mutationCorpus()
+{
+    std::vector<Workload> corpus;
+    for (apps::AppKind kind : apps::allApps()) {
+        apps::BenchmarkApp bench = apps::buildApp(kind, 5);
+        bench.app.compile();
+        for (std::size_t a = 0; a < bench.app.size(); ++a)
+            corpus.push_back({bench.app.algorithm(a).program,
+                              bench.app.algorithm(a).values});
+    }
+
+    // Two 3-dof variables: a prior row on each and a between row,
+    // eliminated with one carry.
+    comp::UpdateSpec spec;
+    spec.dofs = {3, 3};
+    spec.rows = {{3, {0}}, {3, {0, 1}}, {3, {1}}};
+    spec.steps = {{{0, 1}, {0, 1}, 3}, {{2, 3}, {1}, 0}};
+    Workload update{comp::compileUpdate(spec), {}};
+    const comp::UpdateLayout layout = comp::updateLayout(spec);
+    std::mt19937 rng(71);
+    for (std::size_t r = 0; r < spec.rows.size(); ++r) {
+        for (const auto &cols : layout.inputs[r].blockColumns)
+            for (fg::Key key : cols)
+                update.values.insert(key,
+                                     test::randomVector(3, rng, 1.0));
+        update.values.insert(layout.inputs[r].rhs,
+                             test::randomVector(3, rng, 1.0));
+    }
+    corpus.push_back(std::move(update));
+    return corpus;
+}
+
+// A decoded program is either rejected or safe to run: every seeded
+// single-byte mutant of every application program and of an update
+// program must throw, or build an ExecutionContext and run one frame
+// (which may itself throw on the corrupted numbers) — never crash,
+// hang or allocate without bound. The sanitizer job runs this too.
+TEST(EncodingFuzz, ByteMutantsThrowOrRunOneFrame)
+{
+    const hw::AcceleratorConfig config =
+        hw::AcceleratorConfig::minimal(true);
+    std::mt19937 rng(20261017);
+    std::size_t decoded = 0, ran = 0;
+    for (const Workload &work : mutationCorpus()) {
+        {
+            runtime::ExecutionContext pristine({&work.program});
+            pristine.bindValues(0, &work.values);
+            ASSERT_NO_THROW(pristine.run(config)) << work.program.name;
+        }
+        const auto bytes = comp::encodeProgram(work.program);
+        std::uniform_int_distribution<std::size_t> at(0, bytes.size() - 1);
+        std::uniform_int_distribution<int> flip(1, 255);
+        for (int m = 0; m < 128; ++m) {
+            auto mutant = bytes;
+            mutant[at(rng)] ^= static_cast<std::uint8_t>(flip(rng));
+            Program program;
+            try {
+                program = comp::decodeProgram(mutant);
+            } catch (const std::runtime_error &) {
+                continue;
+            }
+            ++decoded;
+            try {
+                runtime::ExecutionContext context({&program});
+                context.bindValues(0, &work.values);
+                context.run(config);
+                ++ran;
+            } catch (const std::exception &) {
+            }
+        }
+    }
+    // Most flips land in numeric payloads and still decode.
+    EXPECT_GT(decoded, 0u);
+    EXPECT_GT(ran, 0u);
+}
+
 TEST(ProgramStore, StoreAndLoadRoundTrip)
 {
     const std::string dir = freshDir("roundtrip");
@@ -280,6 +371,26 @@ TEST(ProgramStore, EverySingleByteCorruptionIsACleanMiss)
                   static_cast<std::streamsize>(pristine.size()));
     }
     EXPECT_NE(store.load(0xabcd, "default"), nullptr);
+}
+
+// The checksum only proves the bytes are the ones written; a payload
+// written with a valid checksum but a malformed program (here a dep on
+// a later instruction) is still rejected by the decoder — a clean miss.
+TEST(ProgramStore, ChecksumValidPayloadWithBadDepIsACleanMiss)
+{
+    const std::string dir = freshDir("baddep");
+    ProgramStore store(dir);
+    std::mt19937 rng(15);
+    Values values;
+    FactorGraph graph = randomChain(values, rng);
+    Program forged = comp::compileGraph(graph, values);
+    forged.instructions[0].deps.push_back(
+        static_cast<std::uint32_t>(forged.instructions.size() - 1));
+    ASSERT_TRUE(store.store(0xbad, "default", forged));
+
+    EXPECT_EQ(store.load(0xbad, "default"), nullptr);
+    EXPECT_EQ(store.stats().rejected, 1u);
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 TEST(ProgramStore, TruncationsAreCleanMisses)

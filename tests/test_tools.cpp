@@ -511,10 +511,10 @@ TEST(CompileTool, SimdTierSelection)
     EXPECT_EQ(run(tool + " " + input + " --simd scalar --threads 2"), 0);
     EXPECT_EQ(run(tool + " " + input + " --simd auto --simulate"), 0);
     // A known-but-unavailable tier warns and falls back instead of
-    // failing, so pinned CI legs degrade gracefully; both names are
-    // valid specs on every host and at most one is native.
+    // failing, so pinned CI legs degrade gracefully: avx2 is a valid
+    // spec on every host. neon is not a tier, so it is a usage error.
     EXPECT_EQ(run(tool + " " + input + " --simd avx2 --simulate"), 0);
-    EXPECT_EQ(run(tool + " " + input + " --simd neon --simulate"), 0);
+    EXPECT_EQ(run(tool + " " + input + " --simd neon --simulate"), 2);
 }
 
 TEST(RuntimeServerTool, SimdTierSelection)

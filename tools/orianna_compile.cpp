@@ -89,7 +89,7 @@ usage(const char *argv0)
                  "  --cache-dir DIR reuses compiled programs from the "
                  "persistent store in DIR (created if absent); "
                  "--no-store ignores it\n"
-                 "  --simd takes scalar, avx2, neon or auto "
+                 "  --simd takes scalar, avx2 or auto "
                  "(overrides ORIANNA_SIMD; unavailable tiers fall "
                  "back to the best supported one)\n"
                  "  --passes takes \"default\", \"none\", or a "
