@@ -1,14 +1,11 @@
 #pragma once
 
-// Minimal recursive-descent JSON reader for test assertions on the
-// files the tools emit (metrics registry dumps, Perfetto traces).
-// Supports the full value grammar the exporters produce: objects,
-// arrays, strings with backslash escapes, numbers, booleans and null.
-// Parse errors throw std::runtime_error with a byte offset so a
-// malformed export fails the test with a usable message.
+// JSON reading for test assertions on the files and responses the
+// tools emit (metrics registry dumps, Perfetto traces, protocol
+// lines): runtime::json::parse does the parsing, and JsonValue adds
+// throwing accessors so a missing key or a mistyped value fails the
+// test with a usable message.
 
-#include <cctype>
-#include <cstddef>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -16,6 +13,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "runtime/json.hpp"
 
 namespace orianna::test {
 
@@ -25,7 +24,7 @@ using JsonPtr = std::shared_ptr<JsonValue>;
 class JsonValue
 {
   public:
-    enum class Kind { Null, Bool, Number, String, Array, Object };
+    using Kind = runtime::json::Value::Kind;
 
     Kind kind = Kind::Null;
     bool boolean = false;
@@ -87,190 +86,27 @@ class JsonValue
     }
 };
 
-class JsonParser
+/** The runtime parser's tree, as JsonValues. */
+inline JsonPtr
+adopt(const runtime::json::Value &value)
 {
-  public:
-    explicit JsonParser(const std::string &input) : input_(input) {}
+    auto out = std::make_shared<JsonValue>();
+    out->kind = value.kind;
+    out->boolean = value.boolean;
+    out->number = value.number;
+    out->text = value.text;
+    for (const runtime::json::ValuePtr &item : value.items)
+        out->items.push_back(adopt(*item));
+    for (const auto &[key, field] : value.fields)
+        out->fields.emplace(key, adopt(*field));
+    return out;
+}
 
-    JsonPtr
-    parse()
-    {
-        JsonPtr value = parseValue();
-        skipSpace();
-        if (pos_ != input_.size())
-            fail("trailing characters");
-        return value;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        throw std::runtime_error("json: " + what + " at byte " +
-                                 std::to_string(pos_));
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos_ < input_.size() &&
-               std::isspace(static_cast<unsigned char>(input_[pos_])))
-            ++pos_;
-    }
-
-    char
-    peek()
-    {
-        skipSpace();
-        if (pos_ >= input_.size())
-            fail("unexpected end of input");
-        return input_[pos_];
-    }
-
-    void
-    expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool
-    consume(const std::string &word)
-    {
-        skipSpace();
-        if (input_.compare(pos_, word.size(), word) != 0)
-            return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    JsonPtr
-    parseValue()
-    {
-        const char c = peek();
-        auto value = std::make_shared<JsonValue>();
-        if (c == '{') {
-            value->kind = JsonValue::Kind::Object;
-            ++pos_;
-            if (peek() == '}') {
-                ++pos_;
-                return value;
-            }
-            while (true) {
-                const std::string key = parseString();
-                expect(':');
-                value->fields.emplace(key, parseValue());
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                expect('}');
-                return value;
-            }
-        }
-        if (c == '[') {
-            value->kind = JsonValue::Kind::Array;
-            ++pos_;
-            if (peek() == ']') {
-                ++pos_;
-                return value;
-            }
-            while (true) {
-                value->items.push_back(parseValue());
-                if (peek() == ',') {
-                    ++pos_;
-                    continue;
-                }
-                expect(']');
-                return value;
-            }
-        }
-        if (c == '"') {
-            value->kind = JsonValue::Kind::String;
-            value->text = parseString();
-            return value;
-        }
-        if (consume("true")) {
-            value->kind = JsonValue::Kind::Bool;
-            value->boolean = true;
-            return value;
-        }
-        if (consume("false")) {
-            value->kind = JsonValue::Kind::Bool;
-            value->boolean = false;
-            return value;
-        }
-        if (consume("null"))
-            return value;
-        value->kind = JsonValue::Kind::Number;
-        value->number = parseNumber();
-        return value;
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos_ < input_.size()) {
-            const char c = input_[pos_++];
-            if (c == '"')
-                return out;
-            if (c == '\\') {
-                if (pos_ >= input_.size())
-                    fail("unterminated escape");
-                const char e = input_[pos_++];
-                switch (e) {
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'r': out += '\r'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case '/': out += '/'; break;
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'u':
-                    // The exporters never emit \u escapes; accept and
-                    // substitute so a foreign file still parses.
-                    if (pos_ + 4 > input_.size())
-                        fail("truncated \\u escape");
-                    pos_ += 4;
-                    out += '?';
-                    break;
-                default: fail("unknown escape");
-                }
-                continue;
-            }
-            out += c;
-        }
-        fail("unterminated string");
-    }
-
-    double
-    parseNumber()
-    {
-        skipSpace();
-        const std::size_t start = pos_;
-        std::size_t consumed = 0;
-        double value = 0.0;
-        try {
-            value = std::stod(input_.substr(start), &consumed);
-        } catch (const std::exception &) {
-            fail("malformed number");
-        }
-        pos_ = start + consumed;
-        return value;
-    }
-
-    const std::string &input_;
-    std::size_t pos_ = 0;
-};
-
+/** @throws std::runtime_error with a byte offset on malformed input. */
 inline JsonPtr
 parseJson(const std::string &input)
 {
-    return JsonParser(input).parse();
+    return adopt(*runtime::json::parse(input));
 }
 
 // --- Shared helpers for JSON-consuming tests ------------------------
