@@ -99,7 +99,12 @@ TEST(AccelIncremental, IncrementalMatchesDeviceBatchBitIdentical)
     const PoseGraphScenario scenario =
         apps::makeManhattanWorld(50, /*seed=*/3);
 
-    runtime::Engine engine(config());
+    // Bit identity with the batch reference rung is an fp64
+    // contract: that rung always runs fp64, so pin the datapath
+    // against ORIANNA_PRECISION.
+    runtime::EngineOptions engine_options;
+    engine_options.precision = comp::Precision::Fp64;
+    runtime::Engine engine(config(), engine_options);
     runtime::AcceleratedSmootherOptions options;
     options.params = frozenParams();
 
