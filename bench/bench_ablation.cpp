@@ -8,7 +8,7 @@
 
 #include "bench_common.hpp"
 #include "compiler/codegen.hpp"
-#include "compiler/pass_manager.hpp"
+#include "compiler/optimize.hpp"
 #include "fg/ordering.hpp"
 
 namespace {
@@ -91,10 +91,9 @@ main()
         std::printf("  %u QR unit%s: %8.1f us\n", qr,
                     qr == 1 ? " " : "s", sim.seconds() * 1e6);
     }
-    // ---- (d) post-codegen optimization passes ---------------------
+    // ---- (d) post-codegen cleanup (comp::cleanup) ------------------
     std::printf("\n(d) compiler cleanup passes (constant dedup + DCE)\n");
     orianna::bench::rule();
-    const comp::PassManager cleanup = comp::PassManager::parse("dedup,dce");
     for (std::size_t a = 0; a < app.size(); ++a) {
         const core::Algorithm &algo = app.algorithm(a);
         comp::CompileOptions options;
@@ -103,7 +102,7 @@ main()
         const comp::Program raw =
             comp::compileGraph(algo.graph, algo.values, options);
         comp::Program opt = raw;
-        const std::vector<comp::PassStats> stats = cleanup.run(opt);
+        const std::vector<comp::PassStats> stats = comp::cleanup(opt);
         const auto t_raw =
             hw::simulate({{&raw, &algo.values}}, config).seconds();
         const auto t_opt =

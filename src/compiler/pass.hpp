@@ -2,84 +2,30 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "compiler/isa.hpp"
 
 namespace orianna::comp {
 
 /**
- * What one pass did to one program: sizes around the rewrite, the
- * number of pass-specific rewrites (constants merged, expressions
- * shared, pairs fused, ...), and the wall time spent. PassManager
- * collects one entry per pass per run; the runtime Engine folds them
- * into its compile diagnostics and the metrics registry.
+ * What one analysis of the optimizing sweep (DESIGN.md §7) did to one
+ * program: sizes around it, the number of analysis-specific rewrites
+ * (constants merged, expressions shared, pairs fused, ...), and the
+ * wall time spent. cleanup() and optimize() return one entry per
+ * analysis, chained (each entry's before is the previous one's
+ * after); the runtime Engine folds them into its compile diagnostics
+ * and the metrics registry.
  */
 struct PassStats
 {
-    std::string pass;           //!< Pass name ("dedup", "cse", ...).
-    std::size_t before = 0;     //!< Instructions entering the pass.
-    std::size_t after = 0;      //!< Instructions leaving the pass.
-    std::size_t rewrites = 0;   //!< Pass-specific rewrite count.
-    std::uint64_t wallUs = 0;   //!< Wall time of the rewrite.
-    bool verified = false;      //!< Equivalence check ran and passed.
+    std::string pass;           //!< "dedup", "dce", "cse" or "fuse".
+    std::size_t before = 0;     //!< Instructions entering the analysis.
+    std::size_t after = 0;      //!< Instructions it leaves.
+    std::size_t rewrites = 0;   //!< Analysis-specific rewrite count.
+    /**
+     * Wall time of the analysis; the sweep's one program rewrite is
+     * charged to its last entry.
+     */
+    std::uint64_t wallUs = 0;
+    bool verified = false;      //!< The sweep's probe check passed.
 };
-
-/**
- * One compiler IR pass over a compiled Program.
- *
- * The contract (DESIGN.md §7):
- *  - run() rewrites @p program in place and returns the number of
- *    rewrites applied (0 means the pass did not fire);
- *  - the rewritten program must compute bit-identical deltas on every
- *    input, and must not execute more MACs than before (the
- *    PassManager's verification hook enforces both on a probe input);
- *  - the rewritten program must be well formed: SSA slots (each slot
- *    written by exactly one instruction before any use), deps naming
- *    the producing instruction of every src, compact slot numbering.
- *    Passes built on rewriteProgram() get this for free;
- *  - run() must be deterministic and stateless (one pass object may
- *    be shared by concurrent compiles).
- */
-class Pass
-{
-  public:
-    virtual ~Pass() = default;
-
-    /** Stable name used by --passes lists and metrics keys. */
-    virtual const char *name() const = 0;
-
-    /** One-line description for --list-passes. */
-    virtual const char *description() const = 0;
-
-    /** Apply the rewrite; returns the number of rewrites applied. */
-    virtual std::size_t run(Program &program) const = 0;
-};
-
-/**
- * Shared rewrite engine for instruction-dropping passes.
- *
- * Consumes @p program (call it as `program =
- * rewriteProgram(std::move(program), ...)`) and rebuilds it keeping
- * instruction order: instructions with @p drop set are removed and
- * the survivors are moved, never copied, into an exactly reserved
- * instruction vector. Every operand (srcs, gather placements, delta
- * bindings) is first redirected through @p slot_remap, a dense table
- * indexed by slot (old dst slot -> replacement dst slot, for
- * merge-style passes; empty means the identity). Value slots are then renumbered compactly in definition
- * order, and deps are rebuilt from the surviving producers. All slot
- * tables are dense vectors bounded by valueSlots, so a rewrite costs
- * O(instructions + operands + valueSlots).
- *
- * @throws std::logic_error when a surviving instruction (or delta
- *         binding) reads a slot with no surviving producer, or any
- *         slot (src, placement, dst, remap target) lies outside
- *         valueSlots — the use-of-undefined-slot detection the
- *         pipeline relies on to reject a broken pass immediately;
- *         also when @p drop or a non-empty @p slot_remap does not
- *         match the program's size.
- */
-Program rewriteProgram(Program program, const std::vector<bool> &drop,
-                       const std::vector<std::uint32_t> &slot_remap);
 
 } // namespace orianna::comp

@@ -35,13 +35,6 @@ Application::find(const std::string &algorithm_name) const
 void
 Application::compile(comp::Precision precision)
 {
-    // The default pipeline, split at the cleanup/optimization seam so
-    // the post-cleanup stream can be kept as the platform-model
-    // reference (see Algorithm::referenceProgram).
-    const comp::PassManager cleanup =
-        comp::PassManager::parse("dedup,dce");
-    const comp::PassManager optimize =
-        comp::PassManager::parse("cse,fuse");
     for (std::size_t i = 0; i < algorithms_.size(); ++i) {
         Algorithm &algo = *algorithms_[i];
         comp::CompileOptions options;
@@ -54,29 +47,27 @@ Application::compile(comp::Precision precision)
         options.ordering = fg::ordering::minDegree(algo.graph);
 
         // The algorithm's initial values double as the probe input
-        // for the (opt-in) per-pass equivalence check.
-        comp::PassManager::RunOptions pass_options;
-        pass_options.probe = &algo.values;
-        pass_options.verify = comp::PassManager::verifyFromEnv();
+        // for the (opt-in) equivalence check of the sweep.
+        comp::SweepOptions sweep_options;
+        sweep_options.probe = &algo.values;
+        sweep_options.verify = comp::verifyPassesFromEnv();
 
         algo.program =
             comp::compileGraph(algo.graph, algo.values, options);
-        algo.passStats = cleanup.run(algo.program, pass_options);
+        // The platform-model reference is the cleanup-only stream of
+        // the same codegen output (see Algorithm::referenceProgram).
         algo.referenceProgram = algo.program;
+        comp::cleanup(algo.referenceProgram, sweep_options);
         // The reference stream is the fp64 ground truth whatever the
         // accelerator datapath runs; instructions are precision-
         // independent so retagging is exact.
         algo.referenceProgram.precision = comp::Precision::Fp64;
-        const std::vector<comp::PassStats> opt_stats =
-            optimize.run(algo.program, pass_options);
-        algo.passStats.insert(algo.passStats.end(),
-                              opt_stats.begin(), opt_stats.end());
-        // The VANILLA-HLS baseline stays on the historical cleanup
-        // pair too: it models a dense flow without ORIANNA's
-        // optimizing pipeline.
+        algo.passStats = comp::optimize(algo.program, sweep_options);
+        // The VANILLA-HLS baseline stays on the cleanup stream too: it
+        // models a dense flow without ORIANNA's optimizing analyses.
         algo.denseProgram =
             comp::compileDenseGraph(algo.graph, algo.values, options);
-        cleanup.run(algo.denseProgram);
+        comp::cleanup(algo.denseProgram);
     }
     compiled_ = true;
 }

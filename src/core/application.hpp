@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "compiler/codegen.hpp"
-#include "compiler/pass_manager.hpp"
+#include "compiler/optimize.hpp"
 #include "hw/accelerator.hpp"
 
 namespace orianna::core {
@@ -30,13 +30,13 @@ struct Algorithm
     comp::Program program;      //!< Filled by Application::compile().
     comp::Program denseProgram; //!< VANILLA-HLS variant of the same.
     /**
-     * The stream after the historical cleanup pair (dedup, dce) but
-     * before the optimizing passes (cse, fuse). The CPU/GPU platform
+     * The comp::cleanup() stream (dedup, dce) of the same codegen
+     * output, without optimize()'s cse and fuse. The CPU/GPU platform
      * models run this one: the software baselines they represent do
-     * not get ORIANNA's accelerator-IR optimization pipeline.
+     * not get ORIANNA's accelerator-IR optimizations.
      */
     comp::Program referenceProgram;
-    /** What each pipeline pass did when compiling this algorithm. */
+    /** What each optimize() analysis did to this algorithm. */
     std::vector<comp::PassStats> passStats;
 };
 

@@ -150,8 +150,6 @@ graphFingerprint(const fg::FactorGraph &graph, const fg::Values &shapes,
 Engine::Engine(hw::AcceleratorConfig config, EngineOptions options)
     : config_(std::move(config)), options_(std::move(options)),
       precision_(resolvePrecision(options_.precision)),
-      pipeline_(comp::PassManager::parse(options_.passes)),
-      referencePipeline_(comp::PassManager::parse("dedup,dce")),
       health_(std::make_shared<EngineHealth>())
 {
     if (!options_.faultPlan.empty())
@@ -172,7 +170,7 @@ Engine::program(const fg::FactorGraph &graph, const fg::Values &shapes,
         key ^= kFp32Salt;
     const comp::Precision precision = precision_;
     return compileCached(
-        key, name, pipeline_, &shapes, [&, precision]() {
+        key, name, /*reference=*/false, &shapes, [&, precision]() {
             comp::CompileOptions options;
             options.algorithmTag = algorithm_tag;
             options.name = name;
@@ -195,7 +193,7 @@ Engine::referenceProgram(const fg::FactorGraph &graph,
     const std::uint64_t key =
         graphFingerprint(graph, shapes, algorithm_tag) ^ kReferenceSalt;
     return compileCached(
-        key, name + " (reference)", referencePipeline_, &shapes, [&]() {
+        key, name + " (reference)", /*reference=*/true, &shapes, [&]() {
             comp::CompileOptions options;
             options.algorithmTag = algorithm_tag;
             options.name = name + " (reference)";
@@ -214,7 +212,7 @@ Engine::updateProgram(const comp::UpdateSpec &spec,
         key ^= kFp32Salt;
     const comp::Precision precision = precision_;
     return compileCached(
-        key, name, pipeline_, &probe, [&, precision]() {
+        key, name, /*reference=*/false, &probe, [&, precision]() {
             comp::UpdateSpec compiled = spec;
             compiled.precision = precision;
             compiled.name = name;
@@ -227,12 +225,12 @@ Engine::referenceUpdateProgram(const comp::UpdateSpec &spec,
                                const fg::Values &probe,
                                const std::string &name)
 {
-    // Like referenceProgram(): always fp64, cleanup-only pipeline,
+    // Like referenceProgram(): always fp64, comp::cleanup() only,
     // shared (unsalted by precision) across engines.
     const std::uint64_t key =
         comp::updateFingerprint(spec) ^ kReferenceSalt;
     return compileCached(
-        key, name + " (reference)", referencePipeline_, &probe, [&]() {
+        key, name + " (reference)", /*reference=*/true, &probe, [&]() {
             comp::UpdateSpec compiled = spec;
             compiled.precision = comp::Precision::Fp64;
             compiled.name = name + " (reference)";
@@ -242,11 +240,12 @@ Engine::referenceUpdateProgram(const comp::UpdateSpec &spec,
 
 std::shared_ptr<const comp::Program>
 Engine::compileCached(std::uint64_t key, const std::string &name,
-                      comp::PassManager &pipeline,
-                      const fg::Values *probe,
+                      bool reference, const fg::Values *probe,
                       const std::function<comp::Program()> &build)
 {
     Shard &s = shard(key);
+    const char *spec =
+        reference ? comp::kCleanupSpec : comp::kOptimizeSpec;
 
     // Fast path: shared lock, no contention between readers.
     {
@@ -307,7 +306,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
     if (store_ != nullptr) {
         std::shared_ptr<const comp::Program> stored;
         try {
-            stored = store_->load(key, pipeline.spec());
+            stored = store_->load(key, spec);
         } catch (...) {
             stored = nullptr; // The store never fails a request.
         }
@@ -334,15 +333,16 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         const StageTimer compile_timer;
         auto compiled = std::make_shared<comp::Program>(build());
 
-        // The codegen output runs through the engine's pass pipeline;
-        // the caller's probe values double as the verification input
+        // The codegen output runs through the optimizing sweep; the
+        // caller's probe values double as the verification input
         // (they bind every variable the program loads).
-        comp::PassManager::RunOptions pass_options;
-        pass_options.probe = probe;
-        pass_options.verify = options_.verifyPasses ||
-                              comp::PassManager::verifyFromEnv();
+        comp::SweepOptions sweep_options;
+        sweep_options.probe = probe;
+        sweep_options.verify =
+            options_.verifyPasses || comp::verifyPassesFromEnv();
         const std::vector<comp::PassStats> pass_stats =
-            pipeline.run(*compiled, pass_options);
+            reference ? comp::cleanup(*compiled, sweep_options)
+                      : comp::optimize(*compiled, sweep_options);
 
         compiles_.fetch_add(1, std::memory_order_relaxed);
         if (compile_timer.armed()) {
@@ -371,7 +371,7 @@ Engine::compileCached(std::uint64_t key, const std::string &name,
         // restarted process (or a sibling on the same directory)
         // skips this compile. Failures are counted, never raised.
         if (store_ != nullptr &&
-            store_->store(key, pipeline.spec(), *compiled)) {
+            store_->store(key, spec, *compiled)) {
             storeWrites_.fetch_add(1, std::memory_order_relaxed);
             if (MetricsRegistry::enabled())
                 MetricsRegistry::global()

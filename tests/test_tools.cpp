@@ -500,6 +500,43 @@ TEST(CompileTool, RejectsBadArguments)
     EXPECT_EQ(run(tool + " " + input + " --bogus"), 2);
     EXPECT_EQ(run(tool + " " + input + " second.g2o"), 2);
     EXPECT_EQ(run(tool + " " + input + " --simd bogus"), 2);
+    // The optimizing sweep is fixed: the retired pipeline flags are
+    // unknown flags.
+    EXPECT_EQ(run(tool + " " + input + " --passes default"), 2);
+    EXPECT_EQ(run(tool + " " + input + " --list-passes"), 2);
+}
+
+TEST(CompileTool, VerifiesTheSweepAndDumpsIr)
+{
+    const std::string input = writeTinyG2o("dumpir");
+    const std::string prefix = tmpPath("dumpir");
+    std::vector<std::string> dumps;
+    for (const char *stage : {"before", "after"})
+        for (const char *ext : {"ir", "dot"}) {
+            dumps.push_back(prefix + "." + stage + "." + ext);
+            std::filesystem::remove(dumps.back());
+        }
+    const ToolRun result = runCapture(
+        std::string(ORIANNA_COMPILE) + " " + input +
+            " --verify-passes --dump-ir " + prefix,
+        "", "dumpir");
+    EXPECT_EQ(result.status, 0) << result.output;
+    for (const std::string &path : dumps) {
+        ASSERT_TRUE(std::filesystem::exists(path)) << path;
+        EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
+    }
+
+    // One line per analysis of the sweep, in order, each verified.
+    std::vector<std::string> analyses;
+    for (const std::string &line : result.lines()) {
+        if (line.rfind("  pass ", 0) != 0)
+            continue;
+        EXPECT_NE(line.find(", verified)"), std::string::npos) << line;
+        analyses.push_back(line.substr(7, line.find(' ', 7) - 7));
+    }
+    EXPECT_EQ(analyses, (std::vector<std::string>{"dedup", "dce", "cse",
+                                                  "fuse"}))
+        << result.output;
 }
 
 TEST(CompileTool, SimdTierSelection)
