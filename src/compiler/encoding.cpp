@@ -277,10 +277,11 @@ sourceCount(IsaOp op)
 
 /**
  * The structure the scheduler and the in-place interpreter rely on,
- * which codegen and rewriteProgram always emit: opcode operand
- * counts, deps on earlier instructions only, srcs and placements
- * written by earlier instructions, one producer per slot (STORE
- * writes none; its dst names its source) and written delta slots.
+ * which codegen and the optimizing sweep's rewriteProgram always
+ * emit: opcode operand counts, deps on earlier instructions only,
+ * srcs and placements written by earlier instructions, one producer
+ * per slot (STORE writes none; its dst names its source) and written
+ * delta slots.
  */
 void
 validate(const Program &program)

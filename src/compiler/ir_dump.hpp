@@ -10,7 +10,7 @@ namespace orianna::comp {
  * Graphviz rendering of an instruction stream: one node per
  * instruction (opcode, shape, destination slot), one edge per slot
  * dependence (producer -> consumer, from the deps recorded by the
- * Builder/rewriteProgram). Nodes are coloured by phase — forward
+ * Builder, or rebuilt by the optimizing sweep's rewriteProgram). Nodes are coloured by phase — forward
  * lowering, elimination and back-substitution — so the three bands of
  * a Gauss-Newton program are visible at a glance.
  */
@@ -19,7 +19,8 @@ std::string programToDot(const Program &program);
 /**
  * Human-readable listing of @p program: the Program::str() body plus
  * per-instruction phase/factor annotations. This is what
- * `orianna_compile --dump-ir` writes before and after the pipeline.
+ * `orianna_compile --dump-ir` writes before and after the optimizing
+ * sweep.
  */
 std::string programListing(const Program &program);
 

@@ -57,8 +57,8 @@ enum class IsaOp : std::uint8_t {
     LOADC,  //!< dst = constant payload (on-chip after first use).
     LOADV,  //!< dst = variable component streamed from the host.
     STORE,  //!< Mark src0 as a result streamed back to the host.
-    // Fused opcodes. Never emitted by codegen: the peephole fusion
-    // pass (src/compiler/passes/fusion.cpp) rewrites single-use
+    // Fused opcodes. Never emitted by codegen: the fuse analysis of
+    // comp::optimize() (src/compiler/optimize.cpp) rewrites single-use
     // producer/consumer pairs into these, mapping them onto the fused
     // microkernels the matrix layer already provides. Each fused op
     // performs exactly the floating-point operations of the pair it

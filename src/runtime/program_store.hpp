@@ -65,7 +65,8 @@ class ProgramStore
 
     /**
      * Fetch the entry for @p fingerprint, expecting an artifact built
-     * by the @p passSpec pipeline. Returns nullptr on any miss —
+     * by the @p passSpec sweep (comp::kOptimizeSpec or
+     * comp::kCleanupSpec). Returns nullptr on any miss —
      * absent file, failed validation rung, or undecodable payload —
      * and never throws for a bad entry.
      */

@@ -155,7 +155,7 @@ TEST(EncodingFuzz, VersionOneStreamsDecodeIdentically)
     std::mt19937 rng(7);
     Values values;
     FactorGraph graph = randomChain(values, rng);
-    // No pass pipeline: raw codegen output has no fused (v2) opcodes.
+    // No optimizing sweep: raw codegen output has no fused (v2) opcodes.
     const Program original = comp::compileGraph(graph, values);
     auto bytes = comp::encodeProgram(original);
     ASSERT_EQ(bytes[4], 3); // Version field, little-endian.
