@@ -302,10 +302,11 @@ TEST_F(ProtocolTest, MetricsAndHealthEmbedEngineState)
     ASSERT_TRUE(metrics->at("ok").boolean);
     // Counter deltas are only observable when instrumentation is
     // compiled in (the export self-reports via "compiled").
-    if (metrics->at("metrics").at("compiled").boolean)
+    if (metrics->at("metrics").at("compiled").boolean) {
         EXPECT_EQ(test::counterValue(metrics->at("metrics"),
                                      "engine.compiles"),
                   compiles_before + 1.0);
+    }
 }
 
 TEST_F(ProtocolTest, SubmitReportsAndAssertsPrecision)
