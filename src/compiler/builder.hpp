@@ -145,9 +145,9 @@ struct RowSlots
  * Lower an elimination schedule over its input @p rows: per step
  * GATHER -> QR -> conditional and carry EXTRACTs, then the shared
  * back-substitution. With @p streamed (update programs, whose host
- * keeps the R factors) every column of each step's R is also stored
- * and bound to its key. Throws std::invalid_argument on a malformed
- * schedule.
+ * keeps the R factors) each step's R block is also extracted whole,
+ * stored and bound to its key. Throws std::invalid_argument on a
+ * malformed schedule.
  */
 void emitEliminationTail(Builder &b, const UpdateSpec &schedule,
                          std::vector<RowSlots> rows,

@@ -792,12 +792,10 @@ emitEliminationTail(Builder &b, const UpdateSpec &schedule,
         const std::uint32_t r = b.emit(std::move(qr), b.shape(abar));
 
         if (streamed != nullptr) {
-            for (std::size_t c = 0; c <= ncols; ++c) {
-                const std::uint32_t out =
-                    emitExtract(b, r, 0, c, dv + step.kept, 1, true);
-                b.store(out);
-                b.bind(streamed->at(si).columns.at(c), out);
-            }
+            const std::uint32_t out =
+                emitExtract(b, r, 0, 0, dv + step.kept, ncols + 1, false);
+            b.store(out);
+            b.bind(streamed->at(si).key, out);
         }
 
         std::vector<std::uint32_t> &cond = conditionals[si];

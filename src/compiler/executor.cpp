@@ -448,7 +448,15 @@ template <typename T>
 Vector
 ExecutorT<T>::deltaAt(std::uint32_t index) const
 {
-    return Ext<T>::in(vectorAt(index));
+    const auto *block = std::get_if<mat::MatrixT<T>>(&slots_.at(index));
+    if (block == nullptr)
+        return Ext<T>::in(vectorAt(index));
+    const std::size_t rows = block->rows();
+    Vector out(rows * block->cols());
+    for (std::size_t c = 0; c < block->cols(); ++c)
+        for (std::size_t i = 0; i < rows; ++i)
+            out[c * rows + i] = static_cast<double>((*block)(i, c));
+    return out;
 }
 
 template <typename T>
@@ -461,7 +469,7 @@ ExecutorT<T>::run(const fg::Values &values)
 
     std::map<Key, Vector> deltas;
     for (const DeltaBinding &binding : program_->deltas)
-        deltas.emplace(binding.key, Ext<T>::in(vectorAt(binding.slot)));
+        deltas.emplace(binding.key, deltaAt(binding.slot));
     return deltas;
 }
 

@@ -51,6 +51,7 @@ class ExecutorT
      * Run the whole program in order. Returns the tangent updates
      * (delta) per variable from the program's delta bindings, widened
      * to double (retraction always happens in double on the host).
+     * A binding of a matrix slot reads back as deltaAt() does.
      */
     std::map<Key, Vector> run(const fg::Values &values);
 
@@ -80,7 +81,11 @@ class ExecutorT
         return slots_.at(index);
     }
 
-    /** Read back a delta slot widened to double (host readback). */
+    /**
+     * Read back a delta slot widened to double (host readback). A
+     * matrix slot comes back as one column-major vector: column c at
+     * offset c * rows.
+     */
     Vector deltaAt(std::uint32_t index) const;
 
     /**

@@ -57,12 +57,10 @@ updateLayout(const UpdateSpec &spec)
     next = kOutputBase;
     for (const UpdateSpec::Step &step : spec.steps) {
         UpdateLayout::StepKeys keys;
-        std::size_t ncols = 0;
+        keys.key = next++;
         for (std::uint32_t position : step.columns)
-            ncols += spec.dofs.at(position);
-        keys.columns.resize(ncols + 1);
-        for (Key &key : keys.columns)
-            key = next++;
+            keys.width += spec.dofs.at(position);
+        ++keys.width; // The rhs column.
         keys.dv = spec.dofs.at(step.columns.front());
         keys.height = keys.dv + step.kept;
         layout.outputs.push_back(std::move(keys));
@@ -77,7 +75,7 @@ std::uint64_t
 updateFingerprint(const UpdateSpec &spec)
 {
     Fnv f;
-    f.mix("orianna-update-v1");
+    f.mix("orianna-update-v2");
     f.mix(spec.dofs.size());
     for (std::uint32_t d : spec.dofs)
         f.mix(d);

@@ -30,9 +30,10 @@ streamInputs(const comp::UpdateLayout &layout,
 }
 
 /**
- * Rebuild the SuffixSolution from the frame's delta bindings: the
- * per-step R-factor columns (conditional rows on top, carry rows
- * below) and the on-device back-substituted suffix deltas.
+ * Rebuild the SuffixSolution from the frame's delta bindings: each
+ * step's R-factor block (conditional rows on top, carry rows below),
+ * read back column-major, and the on-device back-substituted suffix
+ * deltas.
  */
 fg::SuffixSolution
 unpackFrame(const std::map<fg::Key, mat::Vector> &out,
@@ -49,21 +50,22 @@ unpackFrame(const std::map<fg::Key, mat::Vector> &out,
         const comp::UpdateLayout::StepKeys &keys =
             layout.outputs[si];
         const std::size_t dv = keys.dv;
-
-        // Reassemble column-by-column: column c of the R factor is
-        // one streamed vector of `height` rows.
-        auto column = [&](std::size_t c) -> const mat::Vector & {
-            return out.at(keys.columns[c]);
+        const std::size_t height = keys.height;
+        const mat::Vector &r = out.at(keys.key);
+        if (r.size() != height * keys.width)
+            throw std::logic_error(
+                "AcceleratedSmoother: R block of the wrong size");
+        // Entry (i, c) of the step's R block.
+        auto at = [&](std::size_t i, std::size_t c) {
+            return r[c * height + i];
         };
 
         fg::Conditional cond;
         cond.key = step.columns.front();
         cond.rSelf = mat::Matrix(dv, dv);
-        for (std::size_t j = 0; j < dv; ++j) {
-            const mat::Vector &col = column(j);
+        for (std::size_t j = 0; j < dv; ++j)
             for (std::size_t i = 0; i < dv; ++i)
-                cond.rSelf(i, j) = col[i];
-        }
+                cond.rSelf(i, j) = at(i, j);
 
         fg::LinearRow carry;
         std::size_t offset = dv;
@@ -73,11 +75,10 @@ unpackFrame(const std::map<fg::Key, mat::Vector> &out,
             mat::Matrix block(dv, w);
             mat::Matrix kept(step.kept, w);
             for (std::size_t j = 0; j < w; ++j) {
-                const mat::Vector &col = column(offset + j);
                 for (std::size_t i = 0; i < dv; ++i)
-                    block(i, j) = col[i];
+                    block(i, j) = at(i, offset + j);
                 for (std::size_t i = 0; i < step.kept; ++i)
-                    kept(i, j) = col[dv + i];
+                    kept(i, j) = at(dv + i, offset + j);
             }
             cond.rParents.emplace(parent, std::move(block));
             if (step.kept > 0)
@@ -85,11 +86,11 @@ unpackFrame(const std::map<fg::Key, mat::Vector> &out,
             offset += w;
         }
 
-        const mat::Vector &rhs = column(offset);
-        cond.rhs = rhs.segment(0, dv);
+        const std::size_t rhs = offset * height;
+        cond.rhs = r.segment(rhs, dv);
         sol.conditionals.push_back(std::move(cond));
         if (step.kept > 0) {
-            carry.rhs = rhs.segment(dv, step.kept);
+            carry.rhs = r.segment(rhs + dv, step.kept);
             sol.carries.push_back(std::move(carry));
         }
     }

@@ -271,10 +271,8 @@ layoutText(const comp::UpdateLayout &layout)
         text << " rhs " << row.rhs << "\n";
     }
     for (const comp::UpdateLayout::StepKeys &step : layout.outputs) {
-        text << "out dv " << step.dv << " height " << step.height;
-        for (comp::Key key : step.columns)
-            text << " " << key;
-        text << "\n";
+        text << "out dv " << step.dv << " height " << step.height
+             << " width " << step.width << " " << step.key << "\n";
     }
     text << "deltas";
     for (comp::Key key : layout.deltaKeys)
