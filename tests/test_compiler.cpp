@@ -9,6 +9,7 @@
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
 #include "compiler/incremental_codegen.hpp"
+#include "compiler/optimize.hpp"
 #include "fg/eliminate.hpp"
 #include "fg/factors.hpp"
 #include "fg/optimizer.hpp"
@@ -358,6 +359,92 @@ TEST(Program, MalformedUpdateScheduleThrows)
     comp::UpdateSpec bad_kept = spec;
     bad_kept.steps[0].kept = 1; // R has no rows below the conditional.
     EXPECT_THROW(comp::compileUpdate(bad_kept), std::invalid_argument);
+}
+
+// The update program's host boundary: each step's R factor leaves the
+// device as one (dv + kept) x (ncols + 1) block, so the program holds
+// one STORE per step plus one per variable delta, and the block reads
+// back column-major.
+TEST(Program, UpdateStepsStoreOneRBlockEach)
+{
+    // Three 3-dof variables: a prior on 0, odometry 0-1 and 1-2, a
+    // closure 0-2. Step 0 carries 6 rows over {1, 2}, step 1 carries
+    // 3 rows over {2}, step 2 carries none.
+    comp::UpdateSpec spec;
+    spec.dofs = {3, 3, 3};
+    spec.rows = {{3, {0}}, {3, {0, 1}}, {3, {1, 2}}, {3, {0, 2}}};
+    spec.steps = {{{0, 1, 3}, {0, 1, 2}, 6},
+                  {{2, 4}, {1, 2}, 3},
+                  {{5}, {2}, 0}};
+    const comp::UpdateLayout layout = comp::updateLayout(spec);
+    const Program program = comp::compileUpdate(spec);
+
+    std::size_t stores = 0;
+    for (const comp::Instruction &inst : program.instructions)
+        stores += inst.op == IsaOp::STORE;
+    EXPECT_EQ(stores, spec.steps.size() + spec.dofs.size());
+
+    auto producer = [&](std::uint32_t slot) -> const comp::Instruction & {
+        for (const comp::Instruction &inst : program.instructions)
+            if (inst.op != IsaOp::STORE && inst.dst == slot)
+                return inst;
+        throw std::logic_error("slot without a producer");
+    };
+    auto bound = [&](comp::Key key) {
+        for (const comp::DeltaBinding &binding : program.deltas)
+            if (binding.key == key)
+                return binding.slot;
+        throw std::logic_error("key without a binding");
+    };
+    const std::size_t widths[] = {10, 7, 4};
+    const std::size_t heights[] = {9, 6, 3};
+    ASSERT_EQ(layout.outputs.size(), spec.steps.size());
+    EXPECT_EQ(program.deltas.size(), spec.steps.size() + spec.dofs.size());
+    for (std::size_t si = 0; si < spec.steps.size(); ++si) {
+        const comp::UpdateLayout::StepKeys &keys = layout.outputs[si];
+        EXPECT_EQ(keys.width, widths[si]);
+        EXPECT_EQ(keys.height, heights[si]);
+        const comp::Instruction &r = producer(bound(keys.key));
+        EXPECT_EQ(r.op, IsaOp::EXTRACT);
+        EXPECT_FALSE(r.extractVector);
+        EXPECT_EQ(r.rows, heights[si]);
+        EXPECT_EQ(r.cols, widths[si]);
+    }
+
+    // A probe binding every streamed input key.
+    std::mt19937 rng(3);
+    Values probe;
+    for (std::size_t r = 0; r < spec.rows.size(); ++r) {
+        for (const std::vector<comp::Key> &cols :
+             layout.inputs[r].blockColumns)
+            for (comp::Key key : cols)
+                probe.insert(key, randomVector(spec.rows[r].dim, rng));
+        probe.insert(layout.inputs[r].rhs,
+                     randomVector(spec.rows[r].dim, rng));
+    }
+
+    // The host reads a block column-major: column c at c * height.
+    comp::Executor executor(program);
+    const std::map<Key, Vector> out = executor.run(probe);
+    for (std::size_t si = 0; si < spec.steps.size(); ++si) {
+        const comp::UpdateLayout::StepKeys &keys = layout.outputs[si];
+        const Matrix &block =
+            std::get<Matrix>(executor.slot(bound(keys.key)));
+        const Vector &flat = out.at(keys.key);
+        ASSERT_EQ(flat.size(), keys.height * keys.width);
+        for (std::size_t c = 0; c < keys.width; ++c)
+            for (std::size_t i = 0; i < keys.height; ++i)
+                EXPECT_EQ(flat[c * keys.height + i], block(i, c));
+    }
+
+    // Both sweeps pass their equivalence check on the update program.
+    comp::SweepOptions verify;
+    verify.probe = &probe;
+    verify.verify = true;
+    Program cleaned = program;
+    EXPECT_NO_THROW(comp::cleanup(cleaned, verify));
+    Program optimized = program;
+    EXPECT_NO_THROW(comp::optimize(optimized, verify));
 }
 
 TEST(Program, Fig11LevelParallelism)
