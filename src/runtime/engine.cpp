@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 #include "fg/factor.hpp"
 #include "fg/ordering.hpp"
@@ -161,16 +160,23 @@ Engine::Engine(hw::AcceleratorConfig config, EngineOptions options)
 
 Engine::~Engine() = default;
 
+std::uint64_t
+Engine::programKey(const fg::FactorGraph &graph, const fg::Values &shapes,
+                   std::uint8_t algorithm_tag) const
+{
+    const std::uint64_t key =
+        graphFingerprint(graph, shapes, algorithm_tag);
+    return precision_ == comp::Precision::Fp32 ? key ^ kFp32Salt : key;
+}
+
 std::shared_ptr<const comp::Program>
 Engine::program(const fg::FactorGraph &graph, const fg::Values &shapes,
                 std::uint8_t algorithm_tag, const std::string &name)
 {
-    std::uint64_t key = graphFingerprint(graph, shapes, algorithm_tag);
-    if (precision_ == comp::Precision::Fp32)
-        key ^= kFp32Salt;
     const comp::Precision precision = precision_;
     return compileCached(
-        key, name, /*reference=*/false, &shapes, [&, precision]() {
+        programKey(graph, shapes, algorithm_tag), name,
+        /*reference=*/false, &shapes, [&, precision]() {
             comp::CompileOptions options;
             options.algorithmTag = algorithm_tag;
             options.name = name;
@@ -486,6 +492,16 @@ Engine::healthJson() const
     return out;
 }
 
+bool
+Engine::provisionsFallback() const
+{
+    const DegradationPolicy &policy = options_.degradation;
+    return policy.fallback &&
+           (injector_ != nullptr || policy.frameTimeoutCycles > 0 ||
+            policy.deltaAbsLimit > 0.0 ||
+            precision_ == comp::Precision::Fp32);
+}
+
 Session
 Engine::session(const fg::FactorGraph &graph, fg::Values initial,
                 double step_scale, std::uint8_t algorithm_tag,
@@ -493,35 +509,38 @@ Engine::session(const fg::FactorGraph &graph, fg::Values initial,
 {
     const StageTimer open;
     auto compiled = program(graph, initial, algorithm_tag, name);
-
-    SessionOptions opts;
-    opts.stepScale = step_scale;
-    opts.policy = options_.degradation;
-    opts.injector = injector_;
-    opts.health = health_;
-    // The fallback rung costs a second compile per graph, so it is
-    // provisioned only when a fault source exists: injection, a frame
-    // deadline, or a reduced-precision datapath (whose mantissa can
-    // break a frame all by itself — non-finite or diverging deltas).
-    // Fault-free fp64 engines behave exactly as before.
-    const bool can_fault = injector_ != nullptr ||
-                           options_.degradation.frameTimeoutCycles > 0 ||
-                           precision_ == comp::Precision::Fp32;
-    if (options_.degradation.fallback && can_fault)
-        opts.fallback =
-            referenceProgram(graph, initial, algorithm_tag, name);
-
-    if (MetricsRegistry::enabled())
-        MetricsRegistry::global()
-            .counter(std::string("engine.sessions.") +
-                     comp::precisionName(precision_))
-            .add();
+    auto fallback = provisionsFallback()
+                        ? referenceProgram(graph, initial,
+                                           algorithm_tag, name)
+                        : nullptr;
+    Session opened = openSession(std::move(compiled), std::move(initial),
+                                 std::move(fallback), step_scale);
     if (open.armed())
         MetricsRegistry::global()
             .histogram("engine.session_open_us")
             .observe(open.elapsedUs());
-    return Session(std::move(compiled), std::move(initial), config_,
-                   std::move(opts));
+    return opened;
+}
+
+Session
+Engine::updateSession(const comp::UpdateSpec &spec, fg::Values streamed,
+                      bool reference)
+{
+    std::shared_ptr<const comp::Program> program;
+    std::shared_ptr<const comp::Program> fallback;
+    if (reference) {
+        program = referenceUpdateProgram(spec, streamed);
+        // The reference rung's fallback is the same program replayed
+        // with injection disarmed, which is exactly what the ladder's
+        // last rung does with it.
+        fallback = program;
+    } else {
+        program = updateProgram(spec, streamed);
+        if (provisionsFallback())
+            fallback = referenceUpdateProgram(spec, streamed);
+    }
+    return openSession(std::move(program), std::move(streamed),
+                       std::move(fallback), 1.0, /*retract=*/false);
 }
 
 Session
@@ -536,7 +555,7 @@ Engine::openSession(std::shared_ptr<const comp::Program> program,
     opts.injector = injector_;
     opts.health = health_;
     opts.retract = retract;
-    if (options_.degradation.fallback)
+    if (provisionsFallback())
         opts.fallback = std::move(fallback);
     if (MetricsRegistry::enabled())
         MetricsRegistry::global()
@@ -718,7 +737,7 @@ Session::step()
     // Without an injector a rerun is bit-identical, so retrying is
     // pointless; go straight to the fallback rung.
     const std::size_t attempts =
-        1 + (injector_ != nullptr ? policy_.maxRetries : 0);
+        1 + (injector_ != nullptr ? DegradationPolicy::kMaxRetries : 0);
     for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
         if (attempt > 0) {
             ++retries_;
@@ -729,9 +748,6 @@ Session::step()
                 MetricsRegistry::global()
                     .counter("engine.retries")
                     .add();
-            if (policy_.backoffBaseUs > 0)
-                std::this_thread::sleep_for(std::chrono::microseconds(
-                    policy_.backoffBaseUs * attempt));
         }
         context_.armFaults(injector_.get(), frames_, attempt);
         const std::uint64_t attempt_start =

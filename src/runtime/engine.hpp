@@ -51,18 +51,20 @@ struct SessionTraceHandle;
 
 /**
  * What a Session does when a frame misbehaves — non-finite deltas
- * (from an injected corruption or genuinely broken numerics) or a
- * blown cycle deadline. The ladder is: retry the frame up to
- * maxRetries times (each retry re-rolls the fault schedule, so a
- * transient upset clears), then replay it on the cleanup-only
+ * (from an injected corruption or genuinely broken numerics), a blown
+ * cycle deadline or a diverging delta. The ladder is: retry the frame
+ * up to kMaxRetries times (each retry re-rolls the fault schedule, so
+ * a transient upset clears), then replay it on the cleanup-only
  * reference program with injection disarmed, then throw. Retries are
  * only attempted when a fault injector is armed; without one a rerun
  * is bit-identical to the failed attempt and is skipped.
  */
 struct DegradationPolicy
 {
-    std::size_t maxRetries = 2; //!< Re-runs before falling back.
-    bool fallback = true;       //!< Allow the reference-program rung.
+    /** Re-runs before falling back. */
+    static constexpr std::size_t kMaxRetries = 2;
+
+    bool fallback = true; //!< Allow the reference-program rung.
 
     /**
      * Declare a frame faulty when it simulates to more than this many
@@ -71,9 +73,6 @@ struct DegradationPolicy
      * update.
      */
     std::uint64_t frameTimeoutCycles = 0;
-
-    /** Sleep attempt*base microseconds before each retry (0 = none). */
-    std::uint64_t backoffBaseUs = 0;
 
     /**
      * Declare a frame faulty when any delta element's magnitude
@@ -157,9 +156,9 @@ struct EngineOptions
      * it explicitly to pin a precision regardless of environment.
      * The precision salts both the in-memory cache key and the
      * persistent-store key, so both precisions of one graph coexist
-     * without ever serving each other's artifacts. Fp32 engines
-     * provision the fp64 reference program as the degradation-ladder
-     * fallback for every session.
+     * without ever serving each other's artifacts. The fp32
+     * datapath is a fault source, so its sessions get the fp64
+     * reference program as their fallback rung (provisionsFallback()).
      */
     std::optional<comp::Precision> precision;
 };
@@ -180,9 +179,6 @@ class Engine
 
     const hw::AcceleratorConfig &config() const { return config_; }
 
-    /** The options this engine was constructed with. */
-    const EngineOptions &engineOptions() const { return options_; }
-
     /** Resolved datapath precision this engine compiles for. */
     comp::Precision precision() const { return precision_; }
 
@@ -191,11 +187,18 @@ class Engine
      * precision-independent, but the Program's precision tag is not,
      * and the key doubles as the persistent-store key — without the
      * salt an fp32 engine would happily serve a stored fp64 artifact
-     * (and vice versa) on a warm restart. Public so tools that key
-     * their own --cache-dir stores by graph fingerprint stay
-     * interoperable with engine-written entries.
+     * (and vice versa) on a warm restart. Public so tests can name
+     * the store entries an fp32 engine writes.
      */
     static constexpr std::uint64_t kFp32Salt = 0x0f32ca5700000001ull;
+
+    /**
+     * The key program() caches and stores @p graph under: its
+     * graphFingerprint(), salted by kFp32Salt on an fp32 engine.
+     */
+    std::uint64_t programKey(const fg::FactorGraph &graph,
+                             const fg::Values &shapes,
+                             std::uint8_t algorithm_tag = 0) const;
 
     /**
      * Compile @p graph (minimum-degree ordering plus comp::optimize(),
@@ -253,11 +256,12 @@ class Engine
      * Open a session around an already-compiled program (an update
      * program, or anything else obtained from this engine), wiring
      * in the engine's degradation policy, fault injector and health
-     * counters exactly as session() does. @p retract=false opens a
-     * compute-only session: step() leaves the session values
-     * untouched and the caller reads the frame's delta bindings —
-     * the mode incremental update programs need, whose synthetic
-     * keys are not retractable variables.
+     * counters. @p fallback becomes the session's reference rung when
+     * provisionsFallback() holds and is dropped otherwise.
+     * @p retract=false opens a compute-only session: step() leaves
+     * the session values untouched and the caller reads the frame's
+     * delta bindings — the mode incremental update programs need,
+     * whose synthetic keys are not retractable variables.
      */
     Session openSession(std::shared_ptr<const comp::Program> program,
                         fg::Values initial,
@@ -265,11 +269,16 @@ class Engine
                             nullptr,
                         double step_scale = 1.0, bool retract = true);
 
-    /** The engine's fault injector, or nullptr when faults are off. */
-    const hw::FaultInjector *injector() const
-    {
-        return injector_.get();
-    }
+    /**
+     * Open a compute-only session on the update program of @p spec,
+     * with @p streamed as its inputs. A @p reference session runs the
+     * cleanup-only fp64 referenceUpdateProgram() itself (the batch
+     * rung of relinearize-all frames); any other runs updateProgram().
+     * Either gets the reference program as its fallback rung when
+     * provisionsFallback() holds.
+     */
+    Session updateSession(const comp::UpdateSpec &spec,
+                          fg::Values streamed, bool reference);
 
     /** Live degradation counters shared with this engine's sessions. */
     const EngineHealth &health() const { return *health_; }
@@ -288,8 +297,10 @@ class Engine
     std::string healthJson() const;
 
     /**
-     * Open a session: compile (or fetch) the program for @p graph and
-     * pair it with the client's private @p initial values.
+     * Open a session: program() for @p graph, paired with the
+     * client's private @p initial values, plus referenceProgram() as
+     * the fallback rung when provisionsFallback() holds. Every tool
+     * and server opens its graph sessions here.
      */
     Session session(const fg::FactorGraph &graph, fg::Values initial,
                     double step_scale = 1.0,
@@ -350,6 +361,16 @@ class Engine
     std::vector<CompileRecord> compileLog() const;
 
   private:
+    /**
+     * The one fallback rule: sessions get the reference-program rung
+     * when the policy allows it and a frame can actually fault — an
+     * armed injector, a frame deadline, a divergence limit, or the
+     * fp32 datapath (whose mantissa can break a frame all by itself).
+     * The rung costs a second compile per graph, so fault-free fp64
+     * engines go without it.
+     */
+    bool provisionsFallback() const;
+
     /**
      * Cache entries hold a future so racing requesters of one
      * fingerprint share a single in-flight compile.
@@ -452,7 +473,7 @@ class Session
     Session(const comp::Program &program, fg::Values initial,
             hw::AcceleratorConfig config, double step_scale = 1.0);
 
-    /** Full-options form (what Engine::session builds). */
+    /** Full-options form (what Engine::openSession builds). */
     Session(std::shared_ptr<const comp::Program> program,
             fg::Values initial, hw::AcceleratorConfig config,
             SessionOptions options);

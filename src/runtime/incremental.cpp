@@ -215,41 +215,15 @@ AcceleratedSmoother::acquireSession(const comp::UpdateSpec &spec,
         return sessions_.front().session;
     }
 
-    // Shape miss: compile (or fetch — the engine's cache and the
-    // ProgramStore both key on the same fingerprint) and open a
-    // compute-only session. Relinearize-all frames run the batch
-    // reference rung directly; incremental frames get it as the
-    // degradation-ladder fallback when a frame can actually fault.
-    std::shared_ptr<const comp::Program> program;
-    std::shared_ptr<const comp::Program> fallback;
-    const DegradationPolicy &policy =
-        engine_.engineOptions().degradation;
-    const bool can_fault =
-        engine_.injector() != nullptr ||
-        policy.frameTimeoutCycles > 0 || policy.deltaAbsLimit > 0.0 ||
-        engine_.precision() == comp::Precision::Fp32;
-    if (batch) {
-        program = engine_.referenceUpdateProgram(spec, streamed);
-        // The batch rung already runs the reference program; its
-        // fallback is the same program replayed with injection
-        // disarmed, which is exactly what the ladder's last rung
-        // does with it.
-        if (can_fault)
-            fallback = program;
-    } else {
-        program = engine_.updateProgram(spec, streamed);
-        if (can_fault)
-            fallback =
-                engine_.referenceUpdateProgram(spec, streamed);
-    }
+    // Shape miss: the engine compiles (or fetches — its cache and
+    // the ProgramStore both key on the same fingerprint) and opens a
+    // compute-only session, with the reference rung as fallback when
+    // a frame can actually fault.
     sessions_.push_front(
         {fingerprint, batch,
-         engine_.openSession(std::move(program), std::move(streamed),
-                             std::move(fallback), 1.0,
-                             /*retract=*/false)});
+         engine_.updateSession(spec, std::move(streamed), batch)});
     ++stats_.sessionsOpened;
-    while (sessions_.size() > options_.sessionCacheCapacity &&
-           options_.sessionCacheCapacity > 0)
+    if (sessions_.size() > kSessionCacheCapacity)
         sessions_.pop_back();
     return sessions_.front().session;
 }

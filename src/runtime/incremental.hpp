@@ -20,14 +20,6 @@ struct AcceleratedSmootherOptions
      * compiling a one-off giant program. 0 accelerates everything.
      */
     std::size_t maxAcceleratedSuffix = 64;
-
-    /**
-     * Open sessions kept alive, one per distinct update shape (LRU).
-     * A trajectory in steady state cycles through a handful of
-     * shapes; evicted shapes re-open against the engine's program
-     * cache, so eviction costs a session setup, never a recompile.
-     */
-    std::size_t sessionCacheCapacity = 16;
 };
 
 /** Counters of the accelerated smoother, for tests and telemetry. */
@@ -73,8 +65,8 @@ specFromSchedule(const fg::SuffixSchedule &schedule,
  * Rungs: relinearize-all frames (schedule.start == 0) run on the
  * cleanup-only fp64 batch reference program; incremental frames run
  * the optimized update program with that reference program as the
- * degradation-ladder fallback whenever the engine can fault (armed
- * injector, frame deadline, fp32 datapath or divergence guard).
+ * degradation-ladder fallback whenever Engine::provisionsFallback()
+ * holds (Engine::updateSession() provisions both).
  * Suffixes above maxAcceleratedSuffix fall back to the CPU reference
  * path. All three rungs follow the same schedule literally, so every
  * path produces bit-identical conditionals and carries.
@@ -122,6 +114,14 @@ class AcceleratedSmoother final : public fg::SuffixSolver
         bool batch = false; //!< Reference-rung (start == 0) session.
         Session session;
     };
+
+    /**
+     * Open sessions kept alive, one per distinct update shape (LRU).
+     * A trajectory in steady state cycles through a handful of
+     * shapes; evicted shapes re-open against the engine's program
+     * cache, so eviction costs a session setup, never a recompile.
+     */
+    static constexpr std::size_t kSessionCacheCapacity = 16;
 
     Session &acquireSession(const comp::UpdateSpec &spec,
                             fg::Values streamed, bool batch);

@@ -223,6 +223,45 @@ TEST(AccelIncremental, UpdateShapesAmortizeAcrossFrames)
     EXPECT_LE(engine.stats().compiles, 2 * stats.sessionsOpened);
 }
 
+// The smoother keeps 16 sessions warm; a shape evicted from that LRU
+// re-opens against the engine's program cache. Here lap 3 of a
+// 4-lap garage drops its vertical closures, so lap 4 re-walks the
+// ~20 transitional closure shapes of lap 2 after more than 16 other
+// shapes evicted them: every re-open is an engine cache hit, never a
+// recompile.
+TEST(AccelIncremental, EvictedShapesReopenFromTheProgramCache)
+{
+    constexpr std::size_t kPerLap = 20;
+    PoseGraphScenario scenario =
+        apps::makeGarageWorld(4, kPerLap, /*seed=*/2);
+    for (std::size_t i = 2 * kPerLap; i < 3 * kPerLap; ++i) {
+        PoseGraphFrame &frame = scenario.frames[i];
+        std::erase_if(frame.factors, [&](const fg::FactorPtr &factor) {
+            for (fg::Key key : factor->keys())
+                if (key + 1 < frame.key)
+                    return true;
+            return false;
+        });
+        frame.loopClosure = false;
+    }
+
+    // Pinned fp64 and fault-free: one program per session open.
+    runtime::EngineOptions engine_options;
+    engine_options.precision = comp::Precision::Fp64;
+    runtime::Engine engine(config(), engine_options);
+    runtime::AcceleratedSmootherOptions options;
+    options.params = frozenParams();
+    runtime::AcceleratedSmoother accel(engine, options);
+    replay(accel, scenario);
+
+    const auto &stats = accel.stats();
+    const runtime::Engine::Stats engine_stats = engine.stats();
+    EXPECT_EQ(stats.cpuFrames, 0u);
+    EXPECT_GT(stats.sessionsOpened, engine_stats.compiles);
+    EXPECT_EQ(engine_stats.cacheHits,
+              stats.sessionsOpened - engine_stats.compiles);
+}
+
 // Oversize suffixes take the CPU reference path instead of
 // compiling a one-off giant program.
 TEST(AccelIncremental, OversizeSuffixFallsBackToCpu)

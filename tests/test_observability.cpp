@@ -88,16 +88,8 @@ chainInitial(const std::vector<lie::Pose> &truth, double perturb)
 
 // --- Instruments ----------------------------------------------------
 
-// Recording tests only make sense when the instruments are compiled
-// in; under -DORIANNA_METRICS=OFF every add/observe is a constexpr
-// no-op by design, which is covered by the *Zeroed* tests instead.
-#define SKIP_WITHOUT_METRICS()                                         \
-    if constexpr (!runtime::kMetricsCompiled)                          \
-    GTEST_SKIP() << "built with ORIANNA_METRICS=OFF"
-
 TEST(MetricsCounter, ShardedAddsSumExactly)
 {
-    SKIP_WITHOUT_METRICS();
     Counter counter;
     constexpr int kThreads = 8;
     constexpr std::uint64_t kPerThread = 10000;
@@ -116,7 +108,6 @@ TEST(MetricsCounter, ShardedAddsSumExactly)
 
 TEST(MetricsGauge, SetAddMax)
 {
-    SKIP_WITHOUT_METRICS();
     Gauge gauge;
     gauge.set(7);
     EXPECT_EQ(gauge.value(), 7);
@@ -145,7 +136,6 @@ TEST(MetricsHistogram, PowerOfTwoBucketBounds)
 
 TEST(MetricsHistogram, OverflowBucketCountsExtremeLatencies)
 {
-    SKIP_WITHOUT_METRICS();
     Histogram histogram;
     const std::uint64_t limit = std::uint64_t{1} << Histogram::kBuckets;
     histogram.observe(limit - 1); // Largest finite-bucket sample.
@@ -166,7 +156,6 @@ TEST(MetricsHistogram, OverflowBucketCountsExtremeLatencies)
 
 TEST(MetricsHistogram, PercentileInterpolatesWithinBucket)
 {
-    SKIP_WITHOUT_METRICS();
     Histogram histogram;
     for (int i = 0; i < 100; ++i) {
         histogram.observe(10); // All in bucket [8, 16).
@@ -183,7 +172,6 @@ TEST(MetricsHistogram, PercentileInterpolatesWithinBucket)
 
 TEST(MetricsHistogram, SingleSampleReportsItselfAtEveryQuantile)
 {
-    SKIP_WITHOUT_METRICS();
     // One 9100 us compile lands in bucket [8192, 16384); interpolation
     // alone would report p50 = 12288 and p99 = 16302.
     Histogram histogram;
@@ -219,8 +207,6 @@ TEST(MetricsRegistryJson, ZeroedRegistryIsValidJson)
     // instrument reads zero, derived rates are null, and the document
     // still parses.
     const auto json = parseJson(runtime::Engine::metricsJson());
-    EXPECT_EQ(json->at("compiled").kind,
-              orianna::test::JsonValue::Kind::Bool);
     for (const auto &[name, value] : json->at("counters").asObject())
         EXPECT_EQ(value->asNumber(), 0.0) << name;
     EXPECT_TRUE(json->at("derived").at("cache_hit_rate").isNull());
@@ -230,7 +216,6 @@ TEST(MetricsRegistryJson, ZeroedRegistryIsValidJson)
 
 TEST(MetricsRegistryJson, ServedSessionsProduceDerivedRates)
 {
-    SKIP_WITHOUT_METRICS();
     GateGuard guard;
     MetricsRegistry::setEnabled(true);
     auto &registry = MetricsRegistry::global();
@@ -318,7 +303,6 @@ TEST(TraceSink, WriteThrowsOnUnwritablePath)
 
 TEST(TraceSink, SpanSumsMatchHistogramSumsExactly)
 {
-    SKIP_WITHOUT_METRICS();
     GateGuard guard;
     MetricsRegistry::setEnabled(true);
     TraceCollector::setEnabled(true);
@@ -454,21 +438,19 @@ TEST(SchedulingFuzz, OutOfOrderMatchesInOrderResultsAndMacs)
         const hw::SimResult a = hw::simulate(work, ooo);
         const std::uint64_t ooo_mac_count = ooo_macs.elapsed();
         // The simulator reported this frame's makespan and busy
-        // cycles into the registry as it ran (when compiled in).
-        if constexpr (runtime::kMetricsCompiled) {
-            EXPECT_EQ(registry.counter("hw.cycles").value(), a.cycles)
-                << "seed " << seed;
-            std::uint64_t busy_counters = 0;
-            std::uint64_t busy_result = 0;
-            for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
-                const std::string name =
-                    std::string("hw.busy_cycles.") +
-                    hw::unitName(static_cast<hw::UnitKind>(k));
-                busy_counters += registry.counter(name).value();
-                busy_result += a.unitBusyCycles[k];
-            }
-            EXPECT_EQ(busy_counters, busy_result) << "seed " << seed;
+        // cycles into the registry as it ran.
+        EXPECT_EQ(registry.counter("hw.cycles").value(), a.cycles)
+            << "seed " << seed;
+        std::uint64_t busy_counters = 0;
+        std::uint64_t busy_result = 0;
+        for (std::size_t k = 0; k < hw::kUnitKindCount; ++k) {
+            const std::string name =
+                std::string("hw.busy_cycles.") +
+                hw::unitName(static_cast<hw::UnitKind>(k));
+            busy_counters += registry.counter(name).value();
+            busy_result += a.unitBusyCycles[k];
         }
+        EXPECT_EQ(busy_counters, busy_result) << "seed " << seed;
 
         mat::MacScope io_macs;
         const hw::SimResult b = hw::simulate(work, in_order);

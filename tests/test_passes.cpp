@@ -390,9 +390,9 @@ TEST(Passes, EncodedProgramsMatchCheckedInGolden)
     //
     // The app builders' payloads (ICP scan matching, for one) go
     // through the dense kernels, whose AVX2 tier rounds differently
-    // from the scalar one and even between optimization levels. So,
-    // like the other payload-sensitive goldens, this one is defined on
-    // the scalar reference tier, with the apps built under the pin.
+    // from the scalar one. So, like the other payload-sensitive
+    // goldens, this one is defined on the scalar reference tier, with
+    // the apps built under the pin.
     const mat::kernels::ScopedKernelTier pin(
         mat::kernels::SimdTier::Scalar);
     ASSERT_TRUE(pin.ok());

@@ -15,11 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/pose_graph.hpp"
 #include "compiler/codegen.hpp"
 #include "compiler/executor.hpp"
 #include "fg/factors.hpp"
 #include "matrix/kernels.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/incremental.hpp"
 #include "runtime/program_store.hpp"
 #include "test_json.hpp"
 
@@ -426,6 +428,55 @@ TEST(Fp32Fallback, DivergenceLimitTripsTheLadder)
     EXPECT_TRUE(session.lastFrameDegraded());
     expectIdenticalValues(truth.values(), session.values());
     EXPECT_EQ(engine.health().failures.load(), 0u);
+}
+
+TEST(Fp32Fallback, Fp64DivergenceLimitProvisionsTheSameLadder)
+{
+    // The divergence limit is a fault source on any datapath, so an
+    // fp64 engine with one provisions the reference rung exactly as
+    // the fp32 engine above does — for graph sessions and for the
+    // incremental smoother's update sessions alike.
+    fg::Values initial;
+    const fg::FactorGraph graph = chainGraph(initial);
+
+    const hw::AcceleratorConfig config =
+        hw::AcceleratorConfig::minimal(true);
+    runtime::EngineOptions plain;
+    plain.precision = comp::Precision::Fp64;
+    runtime::Engine clean(config, plain);
+    runtime::Session truth = clean.session(graph, initial);
+    EXPECT_FALSE(truth.hasFallback());
+    truth.iterate(3);
+
+    runtime::EngineOptions options = plain;
+    options.degradation.deltaAbsLimit = 1e-12;
+    runtime::Engine engine(config, options);
+    runtime::Session session = engine.session(graph, initial);
+    ASSERT_TRUE(session.hasFallback());
+    session.iterate(3);
+
+    EXPECT_EQ(session.frames(), 3u);
+    EXPECT_EQ(session.fallbacks(), 3u);
+    expectIdenticalValues(truth.values(), session.values());
+    EXPECT_EQ(engine.health().failures.load(), 0u);
+
+    // The smoother's sessions follow the same rule: every device
+    // frame trips the limit and lands on its reference rung.
+    runtime::Engine smoothing(config, options);
+    runtime::AcceleratedSmoother accel(smoothing);
+    const apps::PoseGraphScenario scenario =
+        apps::makeGarageWorld(2, 12, /*seed=*/1);
+    for (const apps::PoseGraphFrame &frame : scenario.frames) {
+        accel.addVariable(frame.key, scenario.initial.pose(frame.key));
+        for (const fg::FactorPtr &factor : frame.factors)
+            accel.addFactor(factor);
+        accel.update();
+    }
+    const runtime::AcceleratedSmootherStats &stats = accel.stats();
+    EXPECT_GT(stats.acceleratedFrames, 0u);
+    EXPECT_EQ(smoothing.health().fallbacks.load(),
+              stats.acceleratedFrames + stats.batchFrames);
+    EXPECT_EQ(smoothing.health().failures.load(), 0u);
 }
 
 } // namespace

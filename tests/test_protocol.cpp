@@ -300,13 +300,9 @@ TEST_F(ProtocolTest, MetricsAndHealthEmbedEngineState)
 
     const JsonPtr metrics = roundTrip(R"({"op":"metrics"})");
     ASSERT_TRUE(metrics->at("ok").boolean);
-    // Counter deltas are only observable when instrumentation is
-    // compiled in (the export self-reports via "compiled").
-    if (metrics->at("metrics").at("compiled").boolean) {
-        EXPECT_EQ(test::counterValue(metrics->at("metrics"),
-                                     "engine.compiles"),
-                  compiles_before + 1.0);
-    }
+    EXPECT_EQ(
+        test::counterValue(metrics->at("metrics"), "engine.compiles"),
+        compiles_before + 1.0);
 }
 
 TEST_F(ProtocolTest, SubmitReportsAndAssertsPrecision)

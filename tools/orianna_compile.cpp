@@ -1,16 +1,17 @@
 // orianna-compile: command-line front end of the ORIANNA toolchain.
 //
-// Load a pose graph in g2o format, compile it into the ORIANNA ISA
-// (anchoring the first vertex, minimum-degree ordering, the optimizing
-// sweep dedup,dce,cse,fuse), report the instruction mix, optionally
-// run Gauss-Newton steps on the simulated accelerator, and save the
-// binary program.
+// Load a pose graph in g2o format, anchor the first vertex, and open a
+// session on it through a runtime::Engine, which compiles it into the
+// ORIANNA ISA (minimum-degree ordering, the optimizing sweep
+// dedup,dce,cse,fuse) or loads it from the --cache-dir store. Report
+// the instruction mix, optionally run Gauss-Newton steps on the
+// simulated accelerator, and save the binary program.
 //
 // With --threads, the tool also drives the parallel serving path: one
-// shared Engine, one session pinned to each worker of a ServerPool
-// behind admission control, all sessions stepped concurrently and
-// asserted byte-identical to the sequential session (one compile,
-// deduped by the engine's single-flight table).
+// session pinned to each worker of a ServerPool behind admission
+// control, on the same Engine, all sessions stepped concurrently and
+// asserted byte-identical to the sequential session (every served
+// session is a cache hit on the sequential session's program).
 //
 // Usage:
 //   orianna_compile <input.g2o> [-o out.oprog] [--simulate]
@@ -43,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,13 +153,7 @@ main(int argc, char **argv)
     bool fallback = false;
     std::string cache_dir;
     bool no_store = false;
-    comp::Precision precision = comp::Precision::Fp64;
-    {
-        // Same resolution order as the Engine: flag > env > fp64.
-        const char *env = std::getenv("ORIANNA_PRECISION");
-        if (env != nullptr)
-            comp::parsePrecision(env, precision);
-    }
+    std::optional<comp::Precision> precision; // Unset: the Engine's.
     std::size_t iterations = 1;
     unsigned threads = 0; // 0: hardware_concurrency.
     for (int i = 1; i < argc; ++i) {
@@ -183,6 +179,7 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             threads = static_cast<unsigned>(value);
         } else if (arg == "--trace" && i + 1 < argc) {
+            simulate = true;
             trace_path = argv[++i];
         } else if (arg == "--metrics" && i + 1 < argc) {
             metrics_path = argv[++i];
@@ -194,7 +191,8 @@ main(int argc, char **argv)
         } else if (arg == "--fallback") {
             fallback = true;
         } else if (arg == "--precision" && i + 1 < argc) {
-            if (!comp::parsePrecision(argv[++i], precision)) {
+            precision.emplace();
+            if (!comp::parsePrecision(argv[++i], *precision)) {
                 std::fprintf(stderr,
                              "error: --precision: unknown mode "
                              "\"%s\"\n",
@@ -230,9 +228,23 @@ main(int argc, char **argv)
         runtime::TraceCollector::setEnabled(true);
     std::printf("simd: %s\n",
                 mat::kernels::simdCapabilityString().c_str());
-    std::printf("precision: %s\n", comp::precisionName(precision));
 
     try {
+        // One Engine provisions every session of the run: the
+        // sequential one below and, under --threads, the served ones.
+        runtime::EngineOptions engine_options;
+        engine_options.verifyPasses = verify_passes;
+        if (!fault_spec.empty())
+            engine_options.faultPlan = hw::FaultPlan::parse(fault_spec);
+        engine_options.degradation.fallback = fallback;
+        engine_options.precision = precision;
+        if (!no_store)
+            engine_options.storeDir = cache_dir;
+        runtime::Engine engine(hw::AcceleratorConfig::minimal(true),
+                               std::move(engine_options));
+        std::printf("precision: %s\n",
+                    comp::precisionName(engine.precision()));
+
         fg::PoseGraphData data = fg::loadG2o(input);
         std::printf("loaded %s: %zu vertices, %zu edges\n",
                     input.c_str(), data.initial.size(),
@@ -249,150 +261,102 @@ main(int argc, char **argv)
             first, data.initial.pose(first),
             fg::isotropicSigmas(dof, 1e-3));
 
-        comp::CompileOptions options;
-        options.name = input;
-        options.ordering = fg::ordering::minDegree(data.graph);
-        options.precision = precision;
+        // A session keeps one execution context warm across
+        // Gauss-Newton steps: schedule state and slot arenas are built
+        // once, each step only re-runs the frame. Scoped so its
+        // destructor closes the "session" span before the unified
+        // trace is written.
+        fg::Values sequential_values;
+        {
+            runtime::Session session =
+                engine.session(data.graph, data.initial, 1.0, 0, input);
+            const comp::Program &program = session.program();
 
-        // Persistent store tier (--cache-dir): the fingerprint is
-        // computed over the anchored graph, exactly what the Engine
-        // keys its own caches by, so tool-written and server-written
-        // entries interoperate on one directory.
-        std::unique_ptr<runtime::ProgramStore> store;
-        std::uint64_t fingerprint = 0;
-        if (!cache_dir.empty() && !no_store) {
-            store =
-                std::make_unique<runtime::ProgramStore>(cache_dir);
-            fingerprint =
-                runtime::graphFingerprint(data.graph, data.initial);
-            // Same precision salt the Engine applies, so fp32 and
-            // fp64 artifacts of one graph coexist in one directory.
-            if (precision == comp::Precision::Fp32)
-                fingerprint ^= runtime::Engine::kFp32Salt;
-        }
-
-        comp::Program program;
-        bool from_store = false;
-        if (store != nullptr) {
-            if (auto stored =
-                    store->load(fingerprint, comp::kOptimizeSpec)) {
-                program = *stored;
-                from_store = true;
+            // A fresh engine either compiled the program (logged under
+            // its key) or, with a store, loaded it from disk.
+            const std::uint64_t key =
+                engine.programKey(data.graph, data.initial);
+            const runtime::ProgramStore *store = engine.store();
+            const runtime::Engine::CompileRecord *compiled = nullptr;
+            const auto log = engine.compileLog();
+            for (const auto &record : log)
+                if (record.fingerprint == key)
+                    compiled = &record;
+            if (compiled == nullptr) {
                 std::printf("store: hit %s (pipeline \"%s\"), "
                             "compile skipped\n",
-                            store->entryPath(fingerprint).c_str(),
+                            store->entryPath(key).c_str(),
                             comp::kOptimizeSpec);
                 std::printf("compiled: %zu instructions (from "
                             "store), %zu value slots\n",
                             program.instructions.size(),
                             program.valueSlots);
+            } else {
+                std::printf("compiled: %zu instructions (%zu before "
+                            "pipeline \"%s\"), %zu value slots\n",
+                            program.instructions.size(),
+                            compiled->passes.front().before,
+                            comp::kOptimizeSpec, program.valueSlots);
+                for (const comp::PassStats &stat : compiled->passes)
+                    std::printf(
+                        "  pass %-6s %4zu -> %4zu instructions "
+                        "(%zu rewrites, %llu us%s)\n",
+                        stat.pass.c_str(), stat.before, stat.after,
+                        stat.rewrites,
+                        static_cast<unsigned long long>(stat.wallUs),
+                        stat.verified ? ", verified" : "");
+                if (store != nullptr && engine.stats().storeWrites > 0)
+                    std::printf("store: wrote %s\n",
+                                store->entryPath(key).c_str());
             }
-        }
 
-        comp::SweepOptions sweep_options;
-        sweep_options.probe = &data.initial;
-        sweep_options.verify =
-            verify_passes || comp::verifyPassesFromEnv();
-
-        if (!from_store) {
-            program =
-                comp::compileGraph(data.graph, data.initial, options);
-            const std::size_t raw_instructions =
-                program.instructions.size();
-
-            auto dumpIr = [&](const char *tag) {
-                const std::string base = dump_ir_prefix + "." + tag;
-                std::ofstream listing(base + ".ir");
-                listing << comp::programListing(program);
-                std::ofstream dot(base + ".dot");
-                dot << comp::programToDot(program);
-                if (!listing || !dot)
-                    throw std::runtime_error("cannot write " + base +
-                                             ".{ir,dot}");
-                std::printf("wrote %s.ir, %s.dot\n", base.c_str(),
-                            base.c_str());
-            };
-            if (!dump_ir_prefix.empty())
-                dumpIr("before");
-
-            const std::vector<comp::PassStats> pass_stats =
-                comp::optimize(program, sweep_options);
-
-            std::printf("compiled: %zu instructions (%zu before "
-                        "pipeline \"%s\"), %zu value slots\n",
-                        program.instructions.size(),
-                        raw_instructions, comp::kOptimizeSpec,
-                        program.valueSlots);
-            for (const comp::PassStats &stat : pass_stats)
-                std::printf(
-                    "  pass %-6s %4zu -> %4zu instructions "
-                    "(%zu rewrites, %llu us%s)\n",
-                    stat.pass.c_str(), stat.before, stat.after,
-                    stat.rewrites,
-                    static_cast<unsigned long long>(stat.wallUs),
-                    stat.verified ? ", verified" : "");
-            if (!dump_ir_prefix.empty())
-                dumpIr("after");
-            if (store != nullptr &&
-                store->store(fingerprint, comp::kOptimizeSpec, program))
-                std::printf("store: wrote %s\n",
-                            store->entryPath(fingerprint).c_str());
-        }
-        const auto histogram = program.opHistogram();
-        std::printf("instruction mix:");
-        for (std::size_t op = 0; op < histogram.size(); ++op)
-            if (histogram[op] > 0)
-                std::printf(" %s=%zu",
-                            comp::isaOpName(
-                                static_cast<comp::IsaOp>(op)),
-                            histogram[op]);
-        std::printf("\n");
-
-        if (!output.empty()) {
-            comp::saveProgram(output, program);
-            std::printf("wrote %s\n", output.c_str());
-        }
-        if (!dot_path.empty()) {
-            std::ofstream dot(dot_path);
-            dot << fg::graphToDot(data.graph);
-            std::printf("wrote %s\n", dot_path.c_str());
-        }
-        if (simulate || !trace_path.empty()) {
-            hw::AcceleratorConfig config =
-                hw::AcceleratorConfig::minimal(true);
-            // A session keeps one execution context warm across
-            // Gauss-Newton steps: schedule state and slot arenas are
-            // built once, each step only re-runs the frame. Scoped so
-            // its destructor closes the "session" span before the
-            // unified trace is written.
-            fg::Values sequential_values;
-            {
-                // With faults armed, the session gets the injector
-                // plus (under --fallback) a cleanup-only reference
-                // compile of the same graph as its degradation rung.
-                runtime::SessionOptions sopts;
-                if (!fault_spec.empty())
-                    sopts.injector =
-                        std::make_shared<const hw::FaultInjector>(
-                            hw::FaultPlan::parse(fault_spec));
-                sopts.policy.fallback = fallback;
-                if (fallback &&
-                    (sopts.injector != nullptr ||
-                     precision == comp::Precision::Fp32)) {
-                    // The fallback rung is always the fp64 reference.
-                    comp::CompileOptions ref_options = options;
-                    ref_options.precision = comp::Precision::Fp64;
-                    comp::Program reference = comp::compileGraph(
-                        data.graph, data.initial, ref_options);
-                    comp::cleanup(reference, sweep_options);
-                    sopts.fallback =
-                        std::make_shared<const comp::Program>(
-                            std::move(reference));
+            if (!dump_ir_prefix.empty()) {
+                // The listing around the sweep; "before" is a debug
+                // recompile of the raw codegen output.
+                comp::CompileOptions options;
+                options.name = input;
+                options.ordering = fg::ordering::minDegree(data.graph);
+                options.precision = engine.precision();
+                const comp::Program raw = comp::compileGraph(
+                    data.graph, data.initial, options);
+                for (const auto &[tag, listed] :
+                     {std::pair{"before", &raw},
+                      std::pair{"after", &program}}) {
+                    const std::string base =
+                        dump_ir_prefix + "." + tag;
+                    std::ofstream listing(base + ".ir");
+                    listing << comp::programListing(*listed);
+                    std::ofstream dot(base + ".dot");
+                    dot << comp::programToDot(*listed);
+                    if (!listing || !dot)
+                        throw std::runtime_error("cannot write " +
+                                                 base + ".{ir,dot}");
+                    std::printf("wrote %s.ir, %s.dot\n", base.c_str(),
+                                base.c_str());
                 }
-                runtime::Session session(
-                    std::shared_ptr<const comp::Program>(
-                        std::shared_ptr<const void>(), &program),
-                    data.initial, config, std::move(sopts));
+            }
+
+            const auto histogram = program.opHistogram();
+            std::printf("instruction mix:");
+            for (std::size_t op = 0; op < histogram.size(); ++op)
+                if (histogram[op] > 0)
+                    std::printf(" %s=%zu",
+                                comp::isaOpName(
+                                    static_cast<comp::IsaOp>(op)),
+                                histogram[op]);
+            std::printf("\n");
+
+            if (!output.empty()) {
+                comp::saveProgram(output, program);
+                std::printf("wrote %s\n", output.c_str());
+            }
+            if (!dot_path.empty()) {
+                std::ofstream dot(dot_path);
+                dot << fg::graphToDot(data.graph);
+                std::printf("wrote %s\n", dot_path.c_str());
+            }
+
+            if (simulate) {
                 const hw::SimResult first = session.step();
                 std::printf("one Gauss-Newton step on the minimal "
                             "OoO accelerator: %llu cycles (%.1f us "
@@ -426,85 +390,69 @@ main(int argc, char **argv)
                             session.fallbacks()));
                 sequential_values = session.values();
             }
-            if (serve) {
-                // Parallel serving: one shared Engine, one session
-                // pinned to each worker via admission control. The
-                // graphs are identical, so the engine's single-flight
-                // table compiles once and every other session takes a
-                // cache hit; sessions step concurrently and must land
-                // on exactly the sequential session's values.
-                runtime::ServerPool pool(threads);
-                const unsigned n = pool.threads();
-                runtime::EngineOptions engine_options;
-                if (!fault_spec.empty())
-                    engine_options.faultPlan =
-                        hw::FaultPlan::parse(fault_spec);
-                engine_options.degradation.fallback = fallback;
-                engine_options.precision = precision;
-                if (!no_store)
-                    engine_options.storeDir = cache_dir;
-                runtime::Engine engine(
-                    hw::AcceleratorConfig::minimal(true),
-                    std::move(engine_options));
-                runtime::AdmissionController admission(pool, {});
-                std::vector<std::unique_ptr<runtime::Session>>
-                    sessions(n);
-                std::vector<std::string> failures(n);
-                for (unsigned c = 0; c < n; ++c)
-                    admission.submit(/*worker=*/c, [&, c] {
-                        try {
-                            auto session = std::make_unique<
-                                runtime::Session>(engine.session(
-                                data.graph, data.initial, 1.0, 0,
-                                input));
-                            session->iterate(iterations);
-                            sessions[c] = std::move(session);
-                        } catch (const std::exception &error) {
-                            failures[c] = error.what();
-                        }
-                    });
-                admission.drain();
-
-                bool identical = true;
-                for (std::size_t c = 0; c < sessions.size(); ++c) {
-                    if (!failures[c].empty() ||
-                        sessions[c] == nullptr) {
-                        std::fprintf(stderr,
-                                     "client %zu failed: %s\n", c,
-                                     failures[c].c_str());
-                        identical = false;
-                        continue;
+        }
+        if (serve) {
+            // Parallel serving: one session pinned to each worker via
+            // admission control, on the same engine. The graphs are
+            // identical, so every served session is a cache hit on
+            // the sequential session's program; sessions step
+            // concurrently and must land on exactly the sequential
+            // session's values.
+            runtime::ServerPool pool(threads);
+            const unsigned n = pool.threads();
+            runtime::AdmissionController admission(pool, {});
+            std::vector<std::unique_ptr<runtime::Session>> sessions(n);
+            std::vector<std::string> failures(n);
+            for (unsigned c = 0; c < n; ++c)
+                admission.submit(/*worker=*/c, [&, c] {
+                    try {
+                        auto session =
+                            std::make_unique<runtime::Session>(
+                                engine.session(data.graph,
+                                               data.initial, 1.0, 0,
+                                               input));
+                        session->iterate(iterations);
+                        sessions[c] = std::move(session);
+                    } catch (const std::exception &error) {
+                        failures[c] = error.what();
                     }
-                    identical = identical &&
-                                identicalValues(sequential_values,
-                                                sessions[c]->values());
+                });
+            admission.drain();
+
+            bool identical = true;
+            for (std::size_t c = 0; c < sessions.size(); ++c) {
+                if (!failures[c].empty() || sessions[c] == nullptr) {
+                    std::fprintf(stderr, "client %zu failed: %s\n", c,
+                                 failures[c].c_str());
+                    identical = false;
+                    continue;
                 }
-                const auto stats = engine.stats();
-                std::printf("served %u concurrent session(s) on %u "
-                            "thread(s) via one engine: %zu "
-                            "compile(s), %zu store hit(s), %zu "
-                            "cache hit(s), results %s\n",
-                            n, n, stats.compiles, stats.storeHits,
-                            stats.cacheHits,
-                            identical
-                                ? "identical to the sequential session"
-                                : "DIVERGED");
-                const auto totals = pool.tasksExecuted();
-                for (std::size_t w = 0; w < totals.size(); ++w)
-                    std::printf("  thread %zu: %llu task(s)\n", w,
-                                static_cast<unsigned long long>(
-                                    totals[w]));
-                if (!fault_spec.empty())
-                    std::printf("health: %s\n",
-                                engine.healthJson().c_str());
-                if (!identical)
-                    return 1;
+                identical = identical &&
+                            identicalValues(sequential_values,
+                                            sessions[c]->values());
             }
-            if (!trace_path.empty()) {
-                runtime::TraceCollector::global().write(trace_path);
-                std::printf("wrote %s (unified runtime->hw trace)\n",
-                            trace_path.c_str());
-            }
+            const auto stats = engine.stats();
+            std::printf("served %u concurrent session(s) on %u "
+                        "thread(s) via one engine: %zu compile(s), "
+                        "%zu store hit(s), %zu cache hit(s), "
+                        "results %s\n",
+                        n, n, stats.compiles, stats.storeHits,
+                        stats.cacheHits,
+                        identical ? "identical to the sequential session"
+                                  : "DIVERGED");
+            const auto totals = pool.tasksExecuted();
+            for (std::size_t w = 0; w < totals.size(); ++w)
+                std::printf("  thread %zu: %llu task(s)\n", w,
+                            static_cast<unsigned long long>(totals[w]));
+            if (!fault_spec.empty())
+                std::printf("health: %s\n", engine.healthJson().c_str());
+            if (!identical)
+                return 1;
+        }
+        if (!trace_path.empty()) {
+            runtime::TraceCollector::global().write(trace_path);
+            std::printf("wrote %s (unified runtime->hw trace)\n",
+                        trace_path.c_str());
         }
         if (!metrics_path.empty()) {
             std::ofstream out(metrics_path);
